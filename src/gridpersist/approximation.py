@@ -38,14 +38,14 @@ class SignedIntervalSum:
             raise ValueError("zero coefficients must be dropped")
 
 
-def interval_approximation(module: PersistenceModule, threads: int | None = None) -> SignedIntervalSum:
+def interval_approximation(module: PersistenceModule) -> SignedIntervalSum:
     """The signed interval-decomposable approximation of a module.
 
     Computes the compressed multiplicity of every interval and applies
     Moebius inversion; zero coefficients are dropped.
     """
     g = module.grid
-    delta = compressed_multiplicity_function(module, threads=threads)
+    delta = compressed_multiplicity_function(module)
     tilde = mobius_invert(delta, g.m, g.n)
     return SignedIntervalSum(g.m, g.n, {I: c for I, c in tilde.items() if c != 0})
 

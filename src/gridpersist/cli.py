@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
 import sys
 import time
 
@@ -62,10 +61,6 @@ def _read_module(path: str):
         raise SystemExit(PARSE_ERROR)
 
 
-def _default_threads() -> int:
-    return os.cpu_count() or 1
-
-
 def cmd_intervals(args) -> int:
     intervals = enumerate_intervals(args.m, args.n)
     if args.count:
@@ -85,7 +80,7 @@ def _require_low_grid(module) -> None:
 def cmd_compress(args) -> int:
     module = _read_module(args.input)
     _require_low_grid(module)
-    f = compressed_multiplicity_function(module, threads=args.threads)
+    f = compressed_multiplicity_function(module)
     _write_output(format_interval_function(f), args.output)
     return 0
 
@@ -93,7 +88,7 @@ def cmd_compress(args) -> int:
 def cmd_approx(args) -> int:
     module = _read_module(args.input)
     _require_low_grid(module)
-    approx = interval_approximation(module, threads=args.threads)
+    approx = interval_approximation(module)
     _write_output(format_signed_sum(approx.coeffs), args.output)
     return 0
 
@@ -101,7 +96,7 @@ def cmd_approx(args) -> int:
 def cmd_verify(args) -> int:
     module = _read_module(args.input)
     _require_low_grid(module)
-    approx = interval_approximation(module, threads=args.threads)
+    approx = interval_approximation(module)
     ranks = rank_invariant(module)
     for (src, dst), r in ranks.items():
         got = rank_of_sum(approx, src, dst)
@@ -136,14 +131,14 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _bench_cell(n: int, d: int, reps: int, seed: int, threads: int | None):
+def _bench_cell(n: int, d: int, reps: int, seed: int):
     rng = make_rng(seed)
     module = random_module(n, d, FieldSpec(2), rng)
     enumerate_intervals(2, n)  # interval enumeration is excluded from timing
     times = []
     while len(times) < reps or sum(times) < 0.1:
         t0 = time.perf_counter()
-        f = compressed_multiplicity_function(module, threads=threads)
+        f = compressed_multiplicity_function(module)
         mobius_invert(f, 2, n)
         times.append(time.perf_counter() - t0)
     pairs = sum(1 for _ in module.grid.comparable_pairs())
@@ -165,7 +160,7 @@ def cmd_bench(args) -> int:
     writer.writeheader()
     for d in d_list:
         for n in n_list:
-            writer.writerow(_bench_cell(n, d, args.reps, args.seed, args.threads))
+            writer.writerow(_bench_cell(n, d, args.reps, args.seed))
     _write_output(out.getvalue(), args.output)
     return 0
 
@@ -188,11 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="PMOD file")
-        p.add_argument("--method", choices=["ss"], default="ss",
-                       help="compression flavour (source-sink only)")
         p.add_argument("--output", "-o", default=None)
-        p.add_argument("--threads", type=int, default=_default_threads())
-        p.set_defaults(func=func)
+        # perfbench/run.py reads .threads for its host record; no flag sets it
+        p.set_defaults(func=func, threads=1)
 
     p = sub.add_parser("gen", help="generate PMOD files")
     p.add_argument("kind", choices=["random", "interval", "staircase", "example"])
@@ -212,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", default="10", help="comma-separated space dimensions")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_bench)
 

@@ -35,7 +35,6 @@ oracle for the closed forms.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -161,27 +160,18 @@ def ss_compressed_multiplicity(module: PersistenceModule, table: PathTable, I: I
     return _SsEvaluator(table).value(I)
 
 
-def compressed_multiplicity_function(
-    module: PersistenceModule, threads: int | None = None
-) -> dict[Interval, int]:
+def compressed_multiplicity_function(module: PersistenceModule) -> dict[Interval, int]:
     """Compressed multiplicity of every interval, in canonical order.
 
     Builds the path-map table eagerly and evaluates the closed forms per
-    interval.  With threads > 1 intervals are evaluated in parallel; the
-    result is identical for any thread count.
+    interval on one thread.
     """
     g = module.grid
     if g.m > 2:
         raise ValueError(f"grid height {g.m} > 2 is not supported")
     intervals = enumerate_intervals(g.m, g.n)
-    table = path_map_table(module)
-    ev = _SsEvaluator(table)
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(ev.value, intervals, chunksize=64))
-    else:
-        values = [ev.value(I) for I in intervals]
-    return dict(zip(intervals, values))
+    ev = _SsEvaluator(path_map_table(module))
+    return {I: ev.value(I) for I in intervals}
 
 
 # --- quiver restriction and the Hom-dimension oracle -------------------

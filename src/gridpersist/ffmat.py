@@ -5,9 +5,11 @@ reduced to [0, p).  Zero-row and zero-column matrices are first-class: a
 k x 0 or 0 x k matrix is the unique linear map from or to the zero space
 and participates in products, stacking and rank like any other matrix.
 
-Ranks are computed by row reduction.  For p = 2 rows are packed into
-64-bit words and eliminated with XOR; for general p a vectorised
-elimination with modular pivot inverses is used.  Both paths are exact.
+One echelon core per field family serves rank, kernel and inverse.
+For p = 2 rows are packed into 64-bit words and eliminated with XOR;
+for general p a vectorised elimination with modular pivot inverses is
+used.  Rank stops at a row echelon form; kernel and inverse ask the same
+core for the reduced form.  Both cores are exact.
 """
 
 from __future__ import annotations
@@ -150,49 +152,23 @@ def mat_mul(a: FFMatrix, b: FFMatrix) -> FFMatrix:
     return FFMatrix._wrap(prod % p, p)
 
 
-def _rank_generic(arr: np.ndarray, p: int) -> int:
-    """Row-echelon rank over GF(p) with vectorised elimination."""
-    a = np.array(arr, dtype=np.int64) % p
-    rows, cols = a.shape
+def _echelon_gf2(arr: np.ndarray, reduced: bool) -> tuple[np.ndarray, list[int]]:
+    """Row echelon form over GF(2) and its pivot columns.
+
+    Rows are packed into little-endian 64-bit words and eliminated with
+    XOR; the result is unpacked once at the end.  With reduced=True the
+    rows above each pivot are cleared too, giving the reduced form.
+    """
+    rows, cols = arr.shape
+    words = (cols + 63) // 64
+    padded = np.zeros((rows, words * 64), dtype=np.uint8)
+    padded[:, :cols] = arr
+    a = np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+    pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        below = a[r + 1:, c]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            idx = r + 1 + hit
-            a[idx] = (a[idx] - np.outer(a[idx, c], a[r])) % p
-        r += 1
-    return r
-
-
-def _pack_gf2(arr: np.ndarray) -> np.ndarray:
-    """Pack a 0/1 matrix into rows of little-endian 64-bit words."""
-    rows, cols = arr.shape
-    words = (cols + 63) // 64
-    padded = np.zeros((rows, words * 64), dtype=np.uint8)
-    padded[:, :cols] = arr.astype(np.uint8)
-    packed = np.packbits(padded, axis=1, bitorder="little")
-    return packed.view(np.uint64)
-
-
-def _rank_gf2(arr: np.ndarray) -> int:
-    """Bit-packed XOR elimination rank over GF(2)."""
-    rows, cols = arr.shape
-    if rows == 0 or cols == 0:
-        return 0
-    a = _pack_gf2(arr % 2)
-    r = 0
-    for c in range(cols):
         w = c >> 6
         mask = np.uint64(1 << (c & 63))
         nz = np.nonzero(a[r:, w] & mask)[0]
@@ -200,29 +176,28 @@ def _rank_gf2(arr: np.ndarray) -> int:
             continue
         piv = r + int(nz[0])
         if piv != r:
-            # the swapped-out row r had a zero bit here, so the rows left
-            # to eliminate are still exactly nz[1:]
+            # the swapped-out row r had a zero bit here, so the rows below
+            # left to eliminate are still exactly nz[1:]
             a[[r, piv]] = a[[piv, r]]
-        if nz.size > 1:
-            a[r + nz[1:]] ^= a[r]
+        hit = r + nz[1:]
+        if reduced:
+            hit = np.concatenate((np.nonzero(a[:r, w] & mask)[0], hit))
+        if hit.size:
+            a[hit] ^= a[r]
+        pivots.append(c)
         r += 1
-        if r == rows:
-            break
-    return r
+    bits = np.unpackbits(a.view(np.uint8), axis=1, count=cols, bitorder="little")
+    return bits.astype(np.int64), pivots
 
 
-def mat_rank(a: FFMatrix) -> int:
-    """Rank of a over GF(p); a 0 x k or k x 0 matrix has rank 0."""
-    if a.rows == 0 or a.cols == 0:
-        return 0
-    if a.p == 2:
-        return _rank_gf2(a.data)
-    return _rank_generic(a.data, a.p)
+def _echelon_gfp(arr: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:
+    """Row echelon form over GF(p) with unit pivots, and its pivot columns.
 
-
-def _rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    a = np.array(arr, dtype=np.int64) % p
+    Vectorised elimination with modular pivot inverses.  With
+    reduced=True the rows above each pivot are cleared too, giving the
+    reduced form.
+    """
+    a = arr.copy()
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
@@ -235,15 +210,30 @@ def _rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        hit = np.nonzero(a[:, c])[0]
-        hit = hit[hit != r]
+        # row r is zero left of c, so only columns c: change
+        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), -1, p)) % p
+        hit = r + nz[1:]
+        if reduced:
+            hit = np.concatenate((np.nonzero(a[:r, c])[0], hit))
         if hit.size:
-            a[hit] = (a[hit] - np.outer(a[hit, c], a[r])) % p
+            a[hit, c:] = (a[hit, c:] - np.outer(a[hit, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
     return a, pivots
+
+
+def _echelon(arr: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:
+    """Echelon form of an array reduced mod p, by the core of its field."""
+    if p == 2:
+        return _echelon_gf2(arr, reduced)
+    return _echelon_gfp(arr, p, reduced)
+
+
+def mat_rank(a: FFMatrix) -> int:
+    """Rank of a over GF(p); a 0 x k or k x 0 matrix has rank 0."""
+    if a.rows == 0 or a.cols == 0:
+        return 0
+    return len(_echelon(a.data, a.p, reduced=False)[1])
 
 
 def kernel_basis(a: FFMatrix) -> FFMatrix:
@@ -253,15 +243,12 @@ def kernel_basis(a: FFMatrix) -> FFMatrix:
     the result is deterministic.  a @ kernel_basis(a) is always zero and
     k = cols - rank(a).
     """
-    rref, pivots = _rref(a.data, a.p)
-    p = a.p
-    free = [c for c in range(a.cols) if c not in set(pivots)]
-    basis = np.zeros((a.cols, len(free)), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, k] = (-rref[i, fc]) % p
-    return FFMatrix(basis, p)
+    rref, pivots = _echelon(a.data, a.p, reduced=True)
+    free = np.setdiff1d(np.arange(a.cols), pivots)
+    basis = np.zeros((a.cols, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[pivots] = (-rref[: len(pivots), free]) % a.p
+    return FFMatrix._wrap(basis, a.p)
 
 
 def mat_inv(a: FFMatrix) -> FFMatrix:
@@ -270,7 +257,7 @@ def mat_inv(a: FFMatrix) -> FFMatrix:
         raise ShapeError(f"cannot invert non-square matrix {a.shape}")
     n, p = a.rows, a.p
     aug = np.hstack([a.data, np.eye(n, dtype=np.int64)])
-    rref, pivots = _rref(aug, p)
+    rref, pivots = _echelon(aug, p, reduced=True)
     if pivots[:n] != list(range(n)):
         raise ShapeError("matrix is singular")
     return FFMatrix(rref[:, n:], p)
@@ -292,7 +279,7 @@ def vstack(a: FFMatrix, b: FFMatrix) -> FFMatrix:
     return FFMatrix._wrap(np.vstack([a.data, b.data]), p)
 
 
-def block2x2(a, b, c, d, p: int | None = None) -> FFMatrix:
+def block2x2(a, b, c, d) -> FFMatrix:
     """Assemble [[a, b], [c, d]] with None meaning an auto-sized zero block.
 
     Each None block takes its row count from its horizontal neighbour and
@@ -302,8 +289,7 @@ def block2x2(a, b, c, d, p: int | None = None) -> FFMatrix:
     given = [m for m in (a, b, c, d) if m is not None]
     if not given:
         raise ShapeError("block2x2 needs at least one concrete block")
-    p = _check_same_p(*given) if p is None else p
-    _check_same_p(*given)
+    p = _check_same_p(*given)
 
     def dim(primary, secondary, axis):
         if primary is not None:

@@ -197,8 +197,8 @@ def direct_sum(a: PersistenceModule, b: PersistenceModule) -> PersistenceModule:
     if a.field != b.field:
         raise ValueError(f"field mismatch: {a.field} vs {b.field}")
     dims = {v: a.dims[v] + b.dims[v] for v in a.grid.vertices()}
-    hmaps = {v: block2x2(a.hmaps[v], None, None, b.hmaps[v], p=a.field.p) for v in a.grid.harrows()}
-    vmaps = {v: block2x2(a.vmaps[v], None, None, b.vmaps[v], p=a.field.p) for v in a.grid.varrows()}
+    hmaps = {v: block2x2(a.hmaps[v], None, None, b.hmaps[v]) for v in a.grid.harrows()}
+    vmaps = {v: block2x2(a.vmaps[v], None, None, b.vmaps[v]) for v in a.grid.varrows()}
     return PersistenceModule(a.grid, a.field, dims, hmaps, vmaps)
 
 

@@ -43,6 +43,11 @@ def _logical_lines(text: str):
             yield lineno, body
 
 
+def _is_natural(word: str) -> bool:
+    """A nonempty run of ASCII digits; str.isdigit alone also accepts '²'."""
+    return word.isascii() and word.isdigit()
+
+
 def parse_pmod(text: str) -> PersistenceModule:
     """Parse a PMOD document into a validated persistence module.
 
@@ -66,14 +71,14 @@ def parse_pmod(text: str) -> PersistenceModule:
     if words != ["PMOD", "1"]:
         raise PmodError("expected header 'PMOD 1'", lineno)
     lineno, words = take("'field <p>'")
-    if len(words) != 2 or words[0] != "field" or not words[1].isdigit():
+    if len(words) != 2 or words[0] != "field" or not _is_natural(words[1]):
         raise PmodError("expected 'field <p>'", lineno)
     try:
         field = FieldSpec(int(words[1]))
     except ValueError as exc:
         raise PmodError(str(exc), lineno) from exc
     lineno, words = take("'grid <m> <n>'")
-    if len(words) != 3 or words[0] != "grid" or not all(w.isdigit() for w in words[1:]):
+    if len(words) != 3 or words[0] != "grid" or not all(map(_is_natural, words[1:])):
         raise PmodError("expected 'grid <m> <n>'", lineno)
     try:
         grid = Grid(int(words[1]), int(words[2]))
@@ -89,7 +94,7 @@ def parse_pmod(text: str) -> PersistenceModule:
         if words == ["END"]:
             break
         if words[0] == "dim":
-            if len(words) != 4 or not all(w.isdigit() for w in words[1:]):
+            if len(words) != 4 or not all(map(_is_natural, words[1:])):
                 raise PmodError("expected 'dim <i> <j> <k>'", lineno)
             i, j, k = (int(w) for w in words[1:])
             if (i, j) not in vertices:
@@ -98,7 +103,7 @@ def parse_pmod(text: str) -> PersistenceModule:
                 raise PmodError(f"duplicate dimension for vertex ({i}, {j})", lineno)
             dims[(i, j)] = k
         elif words[0] == "map":
-            if len(words) != 4 or words[1] not in ("h", "v") or not all(w.isdigit() for w in words[2:]):
+            if len(words) != 4 or words[1] not in ("h", "v") or not all(map(_is_natural, words[2:])):
                 raise PmodError("expected 'map h|v <i> <j>'", lineno)
             kind, i, j = words[1], int(words[2]), int(words[3])
             src = (i, j)
@@ -117,7 +122,7 @@ def parse_pmod(text: str) -> PersistenceModule:
                 rowline, entries = take(f"a row of {cols} entries")
                 vals = []
                 for w in entries:
-                    if not (w.isdigit() or (w.startswith("-") and w[1:].isdigit())):
+                    if not _is_natural(w.removeprefix("-")):
                         raise PmodError(f"bad matrix entry {w!r}", rowline)
                     vals.append(int(w))
                 if len(vals) != cols:

@@ -299,9 +299,9 @@ def test_criterion_14_poset_structure():
 
 def test_criterion_15_scaling_report():
     t0 = time.perf_counter()
-    small = _bench_cell(8, 100, 5, 0, None)
+    small = _bench_cell(8, 100, 5, 0)
     mid = time.perf_counter()
-    large = _bench_cell(16, 100, 5, 0, None)
+    large = _bench_cell(16, 100, 5, 0)
     large_wall = time.perf_counter() - mid
     ratio = large["mean_ms"] / small["mean_ms"]
     under_limit = large_wall < 60.0

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from gridpersist.cli import main
+from gridpersist.cli import build_parser, main
 from gridpersist.pmod import parse_pmod
 
 
@@ -93,11 +93,6 @@ class TestCompress:
         assert "2 2..2:[2,2]" in lines
         assert len(lines) == 16  # nonzero values only
 
-    def test_thread_count_invariant(self, example_file, capsys):
-        _, out1, _ = run_cli(capsys, "compress", example_file, "--threads", "1")
-        _, out4, _ = run_cli(capsys, "compress", example_file, "--threads", "4")
-        assert out1 == out4
-
     def test_output_file(self, example_file, tmp_path, capsys):
         dest = tmp_path / "out.txt"
         code, out, _ = run_cli(capsys, "compress", example_file, "-o", str(dest))
@@ -133,6 +128,13 @@ class TestApprox:
             "1 1..2:[2,3];[2,2]\n"
             "1 2..2:[1,2]\n"
         )
+
+    def test_single_thread_without_options(self, example_file, capsys):
+        # perfbench/run.py records this value as the CLI's thread count
+        assert build_parser().parse_args(["approx", "x"]).threads == 1
+        for flag, value in (("--threads", "2"), ("--method", "ss")):
+            code, _, err = run_cli(capsys, "approx", example_file, flag, value)
+            assert code == 1 and "unrecognized arguments" in err
 
 
 class TestVerify:

@@ -107,10 +107,6 @@ class TestWorkedExample:
         assert ss_compressed_multiplicity(m, table, iv("2..2:[2,2]")) == 2
         assert ss_compressed_multiplicity(m, table, iv("1..2:[2,3];[1,2]")) == 0
 
-    def test_thread_count_does_not_change_values(self):
-        m = example_module()
-        assert compressed_multiplicity_function(m, threads=4) == compressed_multiplicity_function(m)
-
 
 class TestAgainstHomOracle:
     @pytest.mark.parametrize("p", [2, 3, 5])

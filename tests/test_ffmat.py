@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridpersist import ffmat
 from gridpersist.ffmat import (
     GF2,
     FFMatrix,
     FieldSpec,
     ShapeError,
-    _rank_generic,
-    _rank_gf2,
+    _echelon_gf2,
+    _echelon_gfp,
     block2x2,
     hstack,
     kernel_basis,
@@ -70,7 +71,7 @@ class TestRank:
             rows = int(rng.integers(0, 65))
             cols = int(rng.integers(0, 65))
             arr = rng.integers(0, 2, size=(rows, cols))
-            assert _rank_gf2(arr) == _rank_generic(arr, 2)
+            assert _echelon_gf2(arr, False)[1] == _echelon_gfp(arr, 2, False)[1]
 
     def test_zero_dimensional(self):
         assert mat_rank(FFMatrix.zeros(0, 5, 3)) == 0
@@ -85,7 +86,7 @@ class TestRank:
         rng = np.random.default_rng(5)
         for cols in (63, 64, 65, 128, 129):
             arr = rng.integers(0, 2, size=(20, cols))
-            assert _rank_gf2(arr) == naive_rank(arr.tolist(), 2)
+            assert len(_echelon_gf2(arr, False)[1]) == naive_rank(arr.tolist(), 2)
 
 
 class TestMul:
@@ -133,6 +134,19 @@ class TestKernel:
     def test_zero_matrix_kernel_is_everything(self):
         k = kernel_basis(FFMatrix.zeros(3, 5, 2))
         assert k.cols == 5 and mat_rank(k) == 5
+
+    def test_gf2_packed_kernel_and_inverse_equal_generic(self, monkeypatch):
+        # column counts straddling the 64-bit word boundary; the generators
+        # draw from these results, so the two cores must agree exactly
+        rng = np.random.default_rng(7)
+        cases = []
+        for cols in (63, 64, 65, 128, 129):
+            low_rank = mat_mul(rand_mat(rng, 30, 12, 2), rand_mat(rng, 12, cols, 2))
+            cases.append((rand_mat(rng, 40, cols, 2), low_rank, random_invertible(cols, GF2, rng)))
+        packed = [(kernel_basis(a), kernel_basis(b), mat_inv(c)) for a, b, c in cases]
+        monkeypatch.setattr(ffmat, "_echelon_gf2", lambda arr, reduced: _echelon_gfp(arr, 2, reduced))
+        generic = [(kernel_basis(a), kernel_basis(b), mat_inv(c)) for a, b, c in cases]
+        assert packed == generic
 
 
 class TestStacking:

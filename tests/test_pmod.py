@@ -88,6 +88,11 @@ REJECTS = [
     ("bad entry token", _replace_line(GOOD, "map h 1 1\n1", "map h 1 1\nx"), 9),
     ("entry out of range", _replace_line(GOOD, "map h 1 1\n1", "map h 1 1\n2"), 9),
     ("negative entry", _replace_line(GOOD, "map h 1 1\n1", "map h 1 1\n-1"), 9),
+    ("superscript modulus", _replace_line(GOOD, "field 2", "field \u00b2"), 2),
+    ("superscript grid size", _replace_line(GOOD, "grid 2 2", "grid 2 \u00b2"), 3),
+    ("superscript dimension", _replace_line(GOOD, "dim 1 1 1", "dim 1 1 \u00b3"), 4),
+    ("superscript map foot", _replace_line(GOOD, "map h 1 1", "map h 1 \u00b9"), 8),
+    ("superscript entry", _replace_line(GOOD, "map h 1 1\n1", "map h 1 1\n\u00b9"), 9),
     ("row too long", _replace_line(GOOD, "map h 1 1\n1", "map h 1 1\n1 0"), 9),
     ("truncated rows", _replace_line(GOOD, "map v 1 2\n1\nEND\n", "map v 1 2\nEND\n"), 15),
     ("unknown directive", _replace_line(GOOD, "map v 1 2", "spam v 1 2"), 14),
