@@ -20,7 +20,6 @@ from .compression import (
     compressed_multiplicity_function,
     hom_dim,
     restrict,
-    ss_compressed_multiplicity,
     ss_interval_rep,
     ss_restrict,
 )

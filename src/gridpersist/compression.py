@@ -4,8 +4,7 @@ The source-sink compression of an interval I restricts a module to the
 sources and sinks of I with the composed path maps between them.  The
 compressed multiplicity of I in M is the multiplicity of the compressed
 interval module inside the compressed M; for grids of height at most
-two it reduces to rank computations on at most four matrices assembled
-from the path-map table.
+two it reduces to ranks of matrices built from the path-map table.
 
 Interval shapes over a 2 x n grid, writing row 1 for the bottom row and
 (b_i, d_i) for the column span of row i:
@@ -17,16 +16,37 @@ Interval shapes over a 2 x n grid, writing row 1 for the bottom row and
   t1 = (1, d_1), t2 = (2, d_2);
 * b_2 < b_1, d_2 < d_1: sources s1, s2 and sinks t1, t2.
 
-The multiplicity formulas per shape, with path maps taken from M:
+With A = M(s2 -> t2), B = M(s1 -> t2), C = M(s1 -> t1) and
+W = B ker C, the multiplicity per shape is
 
-* rectangle:  rank M(src -> snk)
-* two sources, one sink:
-      rank M(s2->t2) + rank M(s1->t2) - rank [M(s2->t2) | M(s1->t2)]
-* one source, two sinks:
-      rank M(s1->t2) + rank M(s1->t1) - rank [M(s1->t2) ; M(s1->t1)]
-* two sources, two sinks:
-      rank [[M(s2->t2), M(s1->t2)], [0, M(s1->t1)]] + rank M(s1->t2)
-      - rank [M(s1->t2) ; M(s1->t1)] - rank [M(s2->t2) | M(s1->t2)]
+* rectangle:                 rank M(src -> snk)
+* two sources, one sink:     rank A + rank B - rank [A | B]
+* one source, two sinks:     rank B - rank W
+* two sources, two sinks:    rank [A | W] - rank W + rank B - rank [A | B]
+
+The last two are the block forms rank B + rank C - rank [B ; C] and
+rank [[A, B], [0, C]] + rank B - rank [B ; C] - rank [A | B], rewritten
+with rank [B ; C] = rank C + rank W and
+rank [[A, B], [0, C]] = rank C + rank [A | W], so every matrix
+eliminated has the rows of a single vertex space.
+
+The ranks are grouped, and the grouping is exact:
+
+* Nested images.  For a sink t = (i, j) and b < j,
+  im M((i, b) -> t) is inside im M((i, b + 1) -> t), since the first map
+  factors through the second.  So one echelon form of
+  [M((i, 1) -> t) | ... | M((i, j) -> t)] has r_b pivots in its first b
+  blocks, r_b = rank M((i, b) -> t), and the first r_b of its pivot
+  columns V_t span im M((i, b) -> t).
+* Pivot prefix.  The echelon cores scan columns left to right, so the
+  pivots among the first c columns of a matrix number the rank of those
+  columns.  One echelon form of [B | V_t2] therefore gives rank B and
+  rank [A | B] for every source s2 of row 2, and one of [W | V_t2] gives
+  rank W and rank [A | W].
+
+That is one echelon form per sink, per (s1, t2) and per (s1, t1, t2),
+one kernel per (s1, t1) and one product W per (s1, t1, t2), shared by
+every interval with those role vertices.
 
 The generic Hom-dimension solver below provides an independent route to
 the same numbers through almost split sequences and is kept as the test
@@ -35,14 +55,19 @@ oracle for the closed forms.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from .ffmat import FFMatrix, ShapeError, block2x2, hstack, mat_rank, vstack
+from .ffmat import FFMatrix, ShapeError, kernel_basis, mat_mul, mat_rank, pivot_columns
 from .grid import PersistenceModule, path_map_table
 from .intervals import Interval, Vertex, enumerate_intervals
+
+# perfbench/tracer.py patches these names on this module; nothing here calls them
+from .ffmat import block2x2, hstack, vstack  # noqa: F401
 
 PathTable = dict[tuple[Vertex, Vertex], FFMatrix]
 
@@ -97,81 +122,80 @@ def classify_ss(I: Interval) -> SsShape:
     )
 
 
-class _SsEvaluator:
-    """Evaluates the closed-form multiplicity with rank memoisation.
+def _prefix_ranks(x: np.ndarray, v: np.ndarray, cuts: list[int], p: int) -> list[int]:
+    """rank [x | v[:, :c]] for every c in cuts, from one echelon form."""
+    piv = pivot_columns(FFMatrix(np.hstack([x, v[:, : cuts[-1]]]), p))
+    return [bisect_left(piv, x.shape[1] + c) for c in cuts]
 
-    Distinct intervals share rectangle, stacked and block ranks whenever
-    their role vertices coincide, so ranks are cached by role tuple.
+
+class _GroupedRanks:
+    """Every rank the multiplicity formulas need, grouped by role vertices.
+
+    For a sink t = (i, j), rect[t][b] = rank M((i, b) -> t), b = 0..j,
+    with rect[t][0] = 0.  For s1 = (1, b1) on row 1 and t2 on row 2,
+    pair[(s1, t2)][b] = rank [M((2, b) -> t2) | B] for b = 0..b1-1, the
+    b = 0 entry being rank B; triple[(s1, t1, t2)][b] is the same with
+    W in place of B.
     """
 
-    def __init__(self, table: PathTable):
-        self.table = table
-        self.cache: dict[tuple, int] = {}
-
-    def _rank(self, key: tuple, build) -> int:
-        val = self.cache.get(key)
-        if val is None:
-            val = mat_rank(build())
-            self.cache[key] = val
-        return val
+    def __init__(self, module: PersistenceModule, table: PathTable):
+        g, p, dims = module.grid, module.field.p, module.dims
+        self.rect: dict[Vertex, list[int]] = {}
+        self.pair: dict[tuple[Vertex, Vertex], list[int]] = {}
+        self.triple: dict[tuple[Vertex, Vertex, Vertex], list[int]] = {}
+        kernels: dict[tuple[Vertex, Vertex], FFMatrix] = {}
+        for t in g.vertices():
+            i, j = t
+            images = FFMatrix(np.hstack([table[((i, b), t)].data for b in range(1, j + 1)]), p)
+            piv = pivot_columns(images)
+            ends = accumulate((dims[(i, b)] for b in range(1, j + 1)), initial=0)
+            rect = self.rect[t] = [bisect_left(piv, e) for e in ends]
+            if i == 1:
+                continue
+            v = images.data[:, piv]
+            for b1 in range(1, j + 1):
+                s1 = (1, b1)
+                bmat = table[(s1, t)]
+                self.pair[(s1, t)] = _prefix_ranks(bmat.data, v, rect[:b1], p)
+                for d1 in range(j + 1, g.n + 1):
+                    t1 = (1, d1)
+                    ker = kernels.get((s1, t1))
+                    if ker is None:
+                        ker = kernels[(s1, t1)] = kernel_basis(table[(s1, t1)])
+                    w = mat_mul(bmat, ker)
+                    self.triple[(s1, t1, t)] = _prefix_ranks(w.data, v, rect[:b1], p)
+            # sinks further right on row 2 need no kernel of a map ending at (1, j + 1)
+            for b1 in range(1, j + 1):
+                kernels.pop(((1, b1), (1, j + 1)), None)
 
     def value(self, I: Interval) -> int:
         shape = classify_ss(I)
-        t = self.table
         if shape.kind in (POINT, ARROW):
-            return self._rank(("r", shape.src, shape.dst), lambda: t[(shape.src, shape.dst)])
+            src, dst = shape.src, shape.dst
+            return self.rect[dst][src[1]] if src[0] == dst[0] else self.pair[(src, dst)][0]
+        pair = self.pair[(shape.s1, shape.t2)]
         if shape.kind == TWO_SOURCES_ONE_SINK:
-            a, b = t[(shape.s2, shape.t2)], t[(shape.s1, shape.t2)]
-            return (
-                self._rank(("r", shape.s2, shape.t2), lambda: a)
-                + self._rank(("r", shape.s1, shape.t2), lambda: b)
-                - self._rank(("h", shape.s2, shape.s1, shape.t2), lambda: hstack(a, b))
-            )
+            b2 = shape.s2[1]
+            return self.rect[shape.t2][b2] + pair[0] - pair[b2]
+        triple = self.triple[(shape.s1, shape.t1, shape.t2)]
         if shape.kind == ONE_SOURCE_TWO_SINKS:
-            a, b = t[(shape.s1, shape.t2)], t[(shape.s1, shape.t1)]
-            return (
-                self._rank(("r", shape.s1, shape.t2), lambda: a)
-                + self._rank(("r", shape.s1, shape.t1), lambda: b)
-                - self._rank(("v", shape.s1, shape.t2, shape.t1), lambda: vstack(a, b))
-            )
-        a = t[(shape.s2, shape.t2)]
-        b = t[(shape.s1, shape.t2)]
-        c = t[(shape.s1, shape.t1)]
-        return (
-            self._rank(
-                ("b", shape.s2, shape.s1, shape.t2, shape.t1),
-                lambda: block2x2(a, b, None, c),
-            )
-            + self._rank(("r", shape.s1, shape.t2), lambda: b)
-            - self._rank(("v", shape.s1, shape.t2, shape.t1), lambda: vstack(b, c))
-            - self._rank(("h", shape.s2, shape.s1, shape.t2), lambda: hstack(a, b))
-        )
-
-
-def ss_compressed_multiplicity(module: PersistenceModule, table: PathTable, I: Interval) -> int:
-    """Compressed multiplicity of the interval I in the module.
-
-    The grid must have height at most 2 and I must fit inside it.
-    """
-    if module.grid.m > 2:
-        raise ValueError(f"grid height {module.grid.m} > 2 is not supported")
-    if not I.fits(module.grid.m, module.grid.n):
-        raise ValueError(f"{I.to_string()} does not fit in the grid")
-    return _SsEvaluator(table).value(I)
+            return pair[0] - triple[0]
+        b2 = shape.s2[1]
+        return triple[b2] - triple[0] + pair[0] - pair[b2]
 
 
 def compressed_multiplicity_function(module: PersistenceModule) -> dict[Interval, int]:
     """Compressed multiplicity of every interval, in canonical order.
 
-    Builds the path-map table eagerly and evaluates the closed forms per
-    interval on one thread.
+    Builds the path-map table eagerly, computes the grouped ranks once
+    and evaluates the formulas per interval on one thread.
     """
     g = module.grid
     if g.m > 2:
         raise ValueError(f"grid height {g.m} > 2 is not supported")
     intervals = enumerate_intervals(g.m, g.n)
-    ev = _SsEvaluator(path_map_table(module))
-    return {I: ev.value(I) for I in intervals}
+    ranks = _GroupedRanks(module, path_map_table(module))
+    return {I: ranks.value(I) for I in intervals}
 
 
 # --- quiver restriction and the Hom-dimension oracle -------------------

@@ -5,11 +5,12 @@ reduced to [0, p).  Zero-row and zero-column matrices are first-class: a
 k x 0 or 0 x k matrix is the unique linear map from or to the zero space
 and participates in products, stacking and rank like any other matrix.
 
-One echelon core per field family serves rank, kernel and inverse.
-For p = 2 rows are packed into 64-bit words and eliminated with XOR;
-for general p a vectorised elimination with modular pivot inverses is
-used.  Rank stops at a row echelon form; kernel and inverse ask the same
-core for the reduced form.  Both cores are exact.
+One echelon core per field family serves pivot columns, rank, kernel
+and inverse.  For p = 2 rows are packed into 64-bit words and eliminated
+with XOR; for general p a vectorised elimination with modular pivot
+inverses is used.  Pivot columns and rank stop at a row echelon form;
+kernel and inverse ask the same core for the reduced form.  Both cores
+are exact and scan columns left to right.
 """
 
 from __future__ import annotations
@@ -229,11 +230,21 @@ def _echelon(arr: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[i
     return _echelon_gfp(arr, p, reduced)
 
 
+def pivot_columns(a: FFMatrix) -> list[int]:
+    """Ascending pivot columns of a row echelon form of a.
+
+    Both cores scan columns left to right, so column c is a pivot
+    exactly when it is not in the span of the columns before it: the
+    pivots below c number rank a[:, :c], for every c.
+    """
+    if a.rows == 0 or a.cols == 0:
+        return []
+    return _echelon(a.data, a.p, reduced=False)[1]
+
+
 def mat_rank(a: FFMatrix) -> int:
     """Rank of a over GF(p); a 0 x k or k x 0 matrix has rank 0."""
-    if a.rows == 0 or a.cols == 0:
-        return 0
-    return len(_echelon(a.data, a.p, reduced=False)[1])
+    return len(pivot_columns(a))
 
 
 def kernel_basis(a: FFMatrix) -> FFMatrix:

@@ -87,7 +87,10 @@ def parse_pmod(text: str) -> PersistenceModule:
 
     dims: dict[tuple[int, int], int] = {}
     maps: dict[tuple[str, int, int], FFMatrix] = {}
-    vertices = set(grid.vertices())
+
+    def in_grid(i: int, j: int) -> bool:
+        # arithmetic, so a huge grid header allocates nothing per vertex
+        return 1 <= i <= grid.m and 1 <= j <= grid.n
 
     while True:
         lineno, words = take("'dim', 'map' or 'END'")
@@ -97,7 +100,7 @@ def parse_pmod(text: str) -> PersistenceModule:
             if len(words) != 4 or not all(map(_is_natural, words[1:])):
                 raise PmodError("expected 'dim <i> <j> <k>'", lineno)
             i, j, k = (int(w) for w in words[1:])
-            if (i, j) not in vertices:
+            if not in_grid(i, j):
                 raise PmodError(f"vertex ({i}, {j}) outside the {grid.m} x {grid.n} grid", lineno)
             if (i, j) in dims:
                 raise PmodError(f"duplicate dimension for vertex ({i}, {j})", lineno)
@@ -108,7 +111,7 @@ def parse_pmod(text: str) -> PersistenceModule:
             kind, i, j = words[1], int(words[2]), int(words[3])
             src = (i, j)
             dst = (i, j + 1) if kind == "h" else (i + 1, j)
-            if src not in vertices or dst not in vertices:
+            if not (in_grid(*src) and in_grid(*dst)):
                 raise PmodError(f"arrow ({i}, {j}) has no {kind} successor in the grid", lineno)
             if src not in dims or dst not in dims:
                 raise PmodError("map block before the dimensions of both endpoints", lineno)
@@ -136,9 +139,10 @@ def parse_pmod(text: str) -> PersistenceModule:
 
     if pos < len(lines):
         raise PmodError("content after END", lines[pos][0])
-    missing = vertices - set(dims)
-    if missing:
-        raise PmodError(f"missing dimension for vertex {sorted(missing)[0]}")
+    # dims holds grid vertices only, so the scan stops within len(dims) + 1 steps
+    missing = next((v for v in grid.vertices() if v not in dims), None)
+    if missing is not None:
+        raise PmodError(f"missing dimension for vertex {missing}")
 
     hmaps = {}
     vmaps = {}

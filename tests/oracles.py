@@ -19,7 +19,7 @@ from gridpersist.compression import (
     ss_interval_rep,
     ss_restrict,
 )
-from gridpersist.ffmat import FFMatrix
+from gridpersist.ffmat import FFMatrix, block2x2, hstack, vstack
 from gridpersist.intervals import Interval, leq
 
 
@@ -87,6 +87,38 @@ def brute_covers(I: Interval, intervals: tuple[Interval, ...]) -> list[Interval]
         J for J in above
         if not any(K != J and K != I and leq(I, K) and leq(K, J) for K in above)
     )
+
+
+def block_multiplicity(table, I: Interval) -> int:
+    """Compressed multiplicity from the block closed forms of each shape.
+
+    One interval at a time, with no kernel, no shared elimination and no
+    pivot prefix: with A = M(s2->t2), B = M(s1->t2), C = M(s1->t1),
+
+    * rectangle:               rank M(src->dst)
+    * two sources, one sink:   rank A + rank B - rank [A | B]
+    * one source, two sinks:   rank B + rank C - rank [B ; C]
+    * two sources, two sinks:  rank [[A, B], [0, C]] + rank B
+                               - rank [B ; C] - rank [A | B]
+
+    Ranks are taken by naive_rank.
+    """
+    shape = classify_ss(I)
+
+    def rank(m: FFMatrix) -> int:
+        return naive_rank(m.tolist(), m.p)
+
+    if shape.kind in (POINT, ARROW):
+        return rank(table[(shape.src, shape.dst)])
+    b = table[(shape.s1, shape.t2)]
+    if shape.kind == TWO_SOURCES_ONE_SINK:
+        a = table[(shape.s2, shape.t2)]
+        return rank(a) + rank(b) - rank(hstack(a, b))
+    c = table[(shape.s1, shape.t1)]
+    if shape.kind == ONE_SOURCE_TWO_SINKS:
+        return rank(b) + rank(c) - rank(vstack(b, c))
+    a = table[(shape.s2, shape.t2)]
+    return rank(block2x2(a, b, None, c)) + rank(b) - rank(vstack(b, c)) - rank(hstack(a, b))
 
 
 def hom_multiplicity(module, table, I: Interval) -> int:

@@ -23,11 +23,7 @@ from gridpersist.approximation import (
     rank_of_sum,
 )
 from gridpersist.cli import _bench_cell
-from gridpersist.compression import (
-    classify_ss,
-    compressed_multiplicity_function,
-    ss_compressed_multiplicity,
-)
+from gridpersist.compression import classify_ss, compressed_multiplicity_function
 from gridpersist.ffmat import GF2, FieldSpec
 from gridpersist.generators import (
     example_module,
@@ -223,8 +219,9 @@ def test_criterion_11_hom_oracle_equivalence():
         p = (2, 3, 5)[i % 3]
         module = random_module(4, d, FieldSpec(p), make_rng(3000 + i))
         table = path_map_table(module)
+        f = compressed_multiplicity_function(module)
         for I in intervals:
-            closed = ss_compressed_multiplicity(module, table, I)
+            closed = f[I]
             oracle = hom_multiplicity(module, table, I)
             per_shape[classify_ss(I).kind] += 1
             if closed != oracle:

@@ -16,13 +16,18 @@ from gridpersist.compression import (
     compressed_multiplicity_function,
     hom_dim,
     restrict,
-    ss_compressed_multiplicity,
     ss_interval_rep,
     ss_quiver_vertices,
     ss_restrict,
 )
 from gridpersist.ffmat import GF2, FFMatrix, FieldSpec, ShapeError
-from gridpersist.generators import example_module, make_rng, random_interval_decomposable, random_module
+from gridpersist.generators import (
+    example_module,
+    make_rng,
+    random_interval_decomposable,
+    random_module,
+    staircase_family_module,
+)
 from gridpersist.grid import (
     Grid,
     direct_sum,
@@ -32,7 +37,7 @@ from gridpersist.grid import (
 )
 from gridpersist.intervals import Interval, enumerate_intervals, leq
 from gridpersist.mobius import zeta_act
-from oracles import hom_multiplicity
+from oracles import block_multiplicity, hom_multiplicity
 
 iv = Interval.from_string
 
@@ -103,9 +108,10 @@ class TestWorkedExample:
 
     def test_single_interval_entry_point(self):
         m = example_module()
+        f = compressed_multiplicity_function(m)
         table = path_map_table(m)
-        assert ss_compressed_multiplicity(m, table, iv("2..2:[2,2]")) == 2
-        assert ss_compressed_multiplicity(m, table, iv("1..2:[2,3];[1,2]")) == 0
+        for text, want in (("2..2:[2,2]", 2), ("1..2:[2,3];[1,2]", 0)):
+            assert f[iv(text)] == block_multiplicity(table, iv(text)) == want
 
 
 class TestAgainstHomOracle:
@@ -122,6 +128,39 @@ class TestAgainstHomOracle:
     def test_each_shape_covered(self):
         kinds = {classify_ss(I).kind for I in enumerate_intervals(2, 4)}
         assert kinds == {POINT, ARROW, TWO_SOURCES_ONE_SINK, ONE_SOURCE_TWO_SINKS, TWO_SOURCES_TWO_SINKS}
+
+
+def assert_matches_block_forms(m):
+    f = compressed_multiplicity_function(m)
+    table = path_map_table(m)
+    assert tuple(f) == enumerate_intervals(m.grid.m, m.grid.n)
+    for I, value in f.items():
+        assert value == block_multiplicity(table, I), I.to_string()
+
+
+class TestAgainstBlockForms:
+    """The grouped ranks against the per-interval block closed forms."""
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    def test_random_modules(self, p):
+        rng = make_rng(400 + p)
+        for n in range(1, 8):
+            for d in (0, 1, 2, 4):
+                assert_matches_block_forms(random_module(n, d, FieldSpec(p), rng))
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    def test_disguised_sums_with_mixed_dimensions(self, p):
+        # height-1 grids have row-1 sinks only; sums leave some vertices at 0
+        rng = make_rng(500 + p)
+        for m in (1, 2):
+            for n in range(1, 8):
+                for k in (0, 3, 8):
+                    module, _ = random_interval_decomposable(m, n, k, FieldSpec(p), rng)
+                    assert_matches_block_forms(module)
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_staircase_family(self, l):
+        assert_matches_block_forms(staircase_family_module(l, FieldSpec(3)))
 
 
 class TestStructuralProperties:
@@ -168,13 +207,6 @@ class TestStructuralProperties:
         tall = PersistenceModule(Grid(3, 1), GF2, {(1, 1): 0, (2, 1): 0, (3, 1): 0})
         with pytest.raises(ValueError):
             compressed_multiplicity_function(tall)
-        with pytest.raises(ValueError):
-            ss_compressed_multiplicity(tall, path_map_table(tall), iv("1..1:[1,1]"))
-
-    def test_interval_outside_grid_rejected(self):
-        m = example_module()
-        with pytest.raises(ValueError):
-            ss_compressed_multiplicity(m, path_map_table(m), iv("1..1:[4,4]"))
 
 
 class TestRestriction:

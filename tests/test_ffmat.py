@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from gridpersist.ffmat import (
     mat_inv,
     mat_mul,
     mat_rank,
+    pivot_columns,
     pullback_basis,
     random_invertible,
     random_matrix,
@@ -87,6 +90,45 @@ class TestRank:
         for cols in (63, 64, 65, 128, 129):
             arr = rng.integers(0, 2, size=(20, cols))
             assert len(_echelon_gf2(arr, False)[1]) == naive_rank(arr.tolist(), 2)
+
+
+class TestPivotPrefix:
+    """The pivots below column c number the rank of the first c columns."""
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    def test_planted_pivots(self, p):
+        # Q @ U with Q invertible and U in echelon form has U's pivots; the
+        # planted ones include the columns where GF(2) packing splits words
+        rng = np.random.default_rng(p)
+        rows = 12
+        for cols in (1, 7, 63, 64, 65, 128, 129):
+            edges = {c for c in (0, 62, 63, 64, 65, 127, 128) if c < cols}
+            extra = rng.choice(cols, size=min(cols, rows - len(edges)), replace=False)
+            planted = sorted(edges | {int(c) for c in extra})
+            u = np.zeros((rows, cols), dtype=np.int64)
+            k = 0
+            for c in range(cols):
+                if c in planted:
+                    u[k, c] = 1
+                    k += 1
+                else:
+                    u[:k, c] = rng.integers(0, p, size=k)
+            q = random_invertible(rows, FieldSpec(p), rng).data
+            a = FFMatrix(q @ u, p)
+            pivots = pivot_columns(a)
+            assert pivots == planted
+            body = a.tolist()
+            for c in range(cols + 1):
+                assert bisect_left(pivots, c) == naive_rank([r[:c] for r in body], p)
+
+    @given(matrices)
+    @settings(max_examples=100, deadline=None)
+    def test_random_matrices(self, a):
+        pivots = pivot_columns(a)
+        assert len(pivots) == mat_rank(a)
+        body = a.tolist()
+        for c in range(a.cols + 1):
+            assert bisect_left(pivots, c) == naive_rank([r[:c] for r in body], a.p)
 
 
 class TestMul:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridpersist.ffmat import FieldSpec
 from gridpersist.generators import example_module, make_rng, random_module, staircase_family_module
-from gridpersist.grid import rank_invariant
+from gridpersist.grid import Grid, PersistenceModule, rank_invariant
 from gridpersist.intervals import Interval
 from gridpersist.pmod import PmodError, format_interval_function, format_signed_sum, parse_pmod, print_pmod
 
@@ -119,6 +124,91 @@ class TestRejection:
         bad = _replace_line(GOOD, "map h 2 1\n1", "map h 2 1\n0")
         with pytest.raises(PmodError, match=r"square at \(1, 1\)"):
             parse_pmod(bad)
+
+
+def _small(top: int = 3):
+    return st.integers(0, top).map(str)
+
+
+# Lines close to the grammar; dimensions stay small because validate
+# multiplies maps of those sizes.
+_LINES = st.one_of(
+    st.sampled_from(["PMOD 1", "END", "# note", "", "field 2", "field 3", "field 4", "field 0"]),
+    st.builds("grid {} {}".format, _small(), st.sampled_from(["0", "1", "2", "3", "1000000000"])),
+    st.builds("dim {} {} {}".format, _small(), _small(), _small(2)),
+    st.builds("map {} {} {}".format, st.sampled_from(["h", "v", "d"]), _small(), _small()),
+    st.lists(st.sampled_from(["0", "1", "2", "-1", "x", "²", "--1"]), max_size=3).map(" ".join),
+    st.text(max_size=8),
+)
+
+
+def _edit(doc: str, edits) -> str:
+    lines = doc.splitlines()
+    for at, op, line in edits:
+        at %= len(lines) + 1
+        if op == "insert":
+            lines.insert(at, line)
+        elif at < len(lines):
+            lines[at:at + 1] = [] if op == "delete" else [line]
+    return "\n".join(lines)
+
+
+# Valid documents with a few lines inserted, deleted or replaced, and
+# free-form line sequences.
+_DOCUMENTS = st.one_of(
+    st.builds(
+        _edit,
+        st.sampled_from([GOOD, print_pmod(example_module(FieldSpec(3))),
+                         "PMOD 1\nfield 2\ngrid 2 1000000000\nEND\n"]),
+        st.lists(st.tuples(st.integers(2, 40), st.sampled_from(["insert", "delete", "replace"]),
+                           _LINES), max_size=3),
+    ),
+    st.builds("{}{}".format, st.sampled_from(["", "PMOD 1\nfield 2\ngrid 2 2\n"]),
+              st.lists(_LINES, max_size=16).map("\n".join)),
+)
+
+
+@contextmanager
+def _vertex_walk_limit(limit: int):
+    """Fail, instead of allocating, when a parse walks more grid vertices."""
+    walk = Grid.vertices
+
+    def guarded(self):
+        for step, v in enumerate(walk(self)):
+            assert step < limit, "parser walked the grid's vertices"
+            yield v
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Grid, "vertices", guarded)
+        yield
+
+
+class TestBounds:
+    def test_huge_grid_header_allocates_nothing_per_vertex(self):
+        # the missing vertex is found after at most len(dims) + 1 steps
+        t0 = time.perf_counter()
+        with _vertex_walk_limit(2):
+            for doc in ("PMOD 1\nfield 2\ngrid 2 1000000000\nEND\n",
+                        "PMOD 1\nfield 2\ngrid 2 1000000000\ndim 1 1 1\nEND\n"):
+                with pytest.raises(PmodError, match="missing dimension"):
+                    parse_pmod(doc)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_huge_grid_rejects_vertices_outside(self):
+        doc = "PMOD 1\nfield 2\ngrid 2 1000000000\ndim 3 1 1\nEND\n"
+        with _vertex_walk_limit(2), pytest.raises(PmodError, match="outside") as err:
+            parse_pmod(doc)
+        assert err.value.line == 4
+
+    @given(_DOCUMENTS)
+    @settings(max_examples=400, deadline=None)
+    def test_any_text_gives_module_or_pmod_error(self, text):
+        with _vertex_walk_limit(100):
+            try:
+                module = parse_pmod(text)
+            except PmodError:
+                return
+        assert isinstance(module, PersistenceModule)
 
 
 class TestOutputFormats:
