@@ -10,7 +10,6 @@ from .approximation import (
     negative_part,
     positive_part,
     rank_of_sum,
-    recover_multiplicities,
 )
 from .compression import (
     QuiverRep,
@@ -60,21 +59,14 @@ from .grid import (
 )
 from .intervals import (
     Interval,
-    NoJoinError,
-    cc_essential,
-    convex_closure,
     covers,
     enumerate_intervals,
-    intersection_components,
     interval_contains_rectangle,
     join_covers,
     leq,
-    meet_over,
     rectangle_from,
-    ss_essential,
-    upper_set,
 )
-from .mobius import brute_force_mobius, mobius_invert, mu_prime, zeta_act
+from .mobius import mobius_invert, mu_prime
 from .pmod import (
     PmodError,
     format_interval_function,

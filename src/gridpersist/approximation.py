@@ -18,7 +18,7 @@ from typing import Mapping
 from .compression import compressed_multiplicity_function
 from .grid import PersistenceModule
 from .intervals import Interval, Vertex, interval_contains_rectangle
-from .mobius import IntervalFunction, mobius_invert
+from .mobius import mobius_invert
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,6 @@ def interval_approximation(module: PersistenceModule) -> SignedIntervalSum:
     delta = compressed_multiplicity_function(module)
     tilde = mobius_invert(delta, g.m, g.n)
     return SignedIntervalSum(g.m, g.n, {I: c for I, c in tilde.items() if c != 0})
-
-
-def recover_multiplicities(f: IntervalFunction, m: int, n: int) -> IntervalFunction:
-    """Multiplicities of interval summands from a compressed
-    multiplicity function; for interval-decomposable modules this
-    returns the exact decomposition.  Alias of Moebius inversion."""
-    return mobius_invert(f, m, n)
 
 
 def positive_part(s: SignedIntervalSum) -> Counter:

@@ -10,8 +10,7 @@ segments [b_i, d_i] for i = s..t satisfying
 for consecutive rows, so higher rows reach weakly further left and end
 weakly further left.  Intervals are ordered by inclusion of their vertex
 sets.  The poset is graded by vertex count but is not a lattice; joins
-are taken over cover sets above a fixed interval and meets are taken
-inside the connected components of an intersection.
+are taken over cover sets above a fixed interval.
 """
 
 from __future__ import annotations
@@ -23,10 +22,6 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 Vertex = tuple[int, int]
-
-
-class NoJoinError(ValueError):
-    """Raised when a vertex set has no unambiguous enclosing interval."""
 
 
 @dataclass(frozen=True, order=True)
@@ -131,8 +126,17 @@ def rectangle_from(src: Vertex, dst: Vertex) -> Interval:
 
 
 def interval_contains_rectangle(I: Interval, src: Vertex, dst: Vertex) -> bool:
-    """Whether the full rectangle spanned by src..dst lies inside I."""
-    return leq(rectangle_from(src, dst), I)
+    """Whether the full rectangle spanned by src..dst lies inside I.
+
+    Staircase spans shrink leftward going up (b_{i+1} <= b_i and
+    d_{i+1} <= d_i), so the rectangle rows i1..i2 fit exactly when
+    s <= i1, i2 <= t, b_{i1} <= j1 and d_{i2} >= j2.
+    """
+    (i1, j1), (i2, j2) = src, dst
+    if i1 > i2 or j1 > j2:
+        raise ValueError(f"{src} is not componentwise below {dst}")
+    return (I.s <= i1 and i2 <= I.t
+            and I.rows[i1 - I.s][0] <= j1 and I.rows[i2 - I.s][1] >= j2)
 
 
 def leq(I: Interval, J: Interval) -> bool:
@@ -173,11 +177,6 @@ def enumerate_intervals(m: int, n: int) -> tuple[Interval, ...]:
                         out.append(Interval(s, t, rows))
     out.sort()
     return tuple(out)
-
-
-def upper_set(I: Interval, m: int, n: int) -> tuple[Interval, ...]:
-    """All J in the m x n interval poset with I <= J, canonical order."""
-    return tuple(J for J in enumerate_intervals(m, n) if leq(I, J))
 
 
 # --- covers and joins -------------------------------------------------
@@ -278,124 +277,3 @@ def cover_subset_joins(I: Interval, m: int, n: int) -> Iterator[tuple[int, Inter
     for size in range(1, len(tagged) + 1):
         for subset in combinations(tagged, size):
             yield size, _join_cover_subset(I, subset)
-
-
-# --- closures, intersections, meets -----------------------------------
-
-def convex_closure(vs: Iterable[Vertex]) -> Interval:
-    """Smallest interval containing a connected vertex set.
-
-    Repeatedly adds every vertex lying between two present ones until
-    stable.  Raises NoJoinError when the input is not connected in the
-    undirected grid graph, since the enclosing interval is then not
-    unique in general.
-    """
-    cur = set(vs)
-    if not cur:
-        raise NoJoinError("empty vertex set")
-    if not _is_connected(cur):
-        raise NoJoinError("vertex set is disconnected; no unique enclosing interval")
-    changed = True
-    while changed:
-        changed = False
-        lo_i = min(i for i, _ in cur)
-        hi_i = max(i for i, _ in cur)
-        lo_j = min(j for _, j in cur)
-        hi_j = max(j for _, j in cur)
-        for i in range(lo_i, hi_i + 1):
-            for j in range(lo_j, hi_j + 1):
-                z = (i, j)
-                if z in cur:
-                    continue
-                below = any(x <= i and y <= j for x, y in cur)
-                above = any(x >= i and y >= j for x, y in cur)
-                if below and above:
-                    cur.add(z)
-                    changed = True
-    return Interval.from_vertices(cur)
-
-
-def _is_connected(vs: set[Vertex]) -> bool:
-    start = next(iter(vs))
-    seen = {start}
-    stack = [start]
-    while stack:
-        i, j = stack.pop()
-        for w in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-            if w in vs and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(vs)
-
-
-def intersection_components(I: Interval, J: Interval) -> tuple[Interval, ...]:
-    """Connected components of the vertex intersection of I and J.
-
-    The intersection of two staircases is a disjoint union of
-    staircases: per-row span intersections split exactly where
-    consecutive nonempty rows fail to overlap.  Components are returned
-    in canonical order.
-    """
-    lo = max(I.s, J.s)
-    hi = min(I.t, J.t)
-    runs: list[list[tuple[int, tuple[int, int]]]] = []
-    current: list[tuple[int, tuple[int, int]]] = []
-    for i in range(lo, hi + 1):
-        b = max(I.span(i)[0], J.span(i)[0])
-        d = min(I.span(i)[1], J.span(i)[1])
-        if b > d:
-            if current:
-                runs.append(current)
-                current = []
-            continue
-        if current:
-            prev_b, prev_d = current[-1][1]
-            if prev_b > d:
-                runs.append(current)
-                current = []
-        current.append((i, (b, d)))
-    if current:
-        runs.append(current)
-    out = [Interval(run[0][0], run[-1][0], tuple(span for _, span in run)) for run in runs]
-    return tuple(sorted(out))
-
-
-def meet_over(I: Interval, J1: Interval, J2: Interval) -> Interval:
-    """Meet of J1 and J2 in the local lattice of intervals above I.
-
-    Requires I <= J1 and I <= J2; the result is the unique connected
-    component of the intersection that contains I.
-    """
-    if not (leq(I, J1) and leq(I, J2)):
-        raise ValueError("meet_over needs I below both arguments")
-    for comp in intersection_components(J1, J2):
-        if leq(I, comp):
-            return comp
-    raise AssertionError("unreachable: I must lie in some component")
-
-
-# --- essential vertices ------------------------------------------------
-
-def ss_essential(I: Interval) -> tuple[Vertex, ...]:
-    """Sources and sinks of I viewed as a subquiver of the grid.
-
-    A source has no in-arrow inside I, a sink no out-arrow.  The result
-    is sorted; sources and sinks of a staircase are always distinct
-    vertices of the form (i, b_i) and (i, d_i).
-    """
-    vs = I.vertices()
-    out = []
-    for i, j in vs:
-        is_source = (i, j - 1) not in vs and (i - 1, j) not in vs
-        is_sink = (i, j + 1) not in vs and (i + 1, j) not in vs
-        if is_source or is_sink:
-            out.append((i, j))
-    return tuple(sorted(out))
-
-
-def cc_essential(I: Interval) -> tuple[Vertex, ...]:
-    """Vertices of I lying on both a source/sink row and column."""
-    ess = ss_essential(I)
-    rows = {i for i, _ in ess}
-    cols = {j for _, j in ess}
-    return tuple(sorted(v for v in I.vertices() if v[0] in rows and v[1] in cols))

@@ -7,16 +7,20 @@ of I whose join above I equals J.  Inversion of a function against the
 order (recovering g from f(I) = sum over J >= I of g(J)) therefore only
 touches joins of cover subsets, never the full segment, which keeps the
 cost per interval bounded by 2^|Cov(I)|.
+
+The cover-subset joins depend only on the grid size, so they are built
+once per size as a sparse signed operator on interval indices, every
+cover subset of every interval joined in a few array operations; an
+inversion is then one scatter-add.
 """
 
 from __future__ import annotations
 
-from .intervals import (
-    Interval,
-    cover_subset_joins,
-    enumerate_intervals,
-    leq,
-)
+from functools import lru_cache
+
+import numpy as np
+
+from .intervals import Interval, cover_subset_joins, enumerate_intervals
 
 IntervalFunction = dict[Interval, int]
 
@@ -37,52 +41,146 @@ def mu_prime(I: Interval, J: Interval, m: int, n: int) -> int:
     return total
 
 
+def _cover_moves(b: np.ndarray, d: np.ndarray, s: np.ndarray, t: np.ndarray, n: int):
+    """The valid cover moves of each padded staircase.
+
+    Returns the number of valid moves per staircase, the flat ids of its
+    valid moves in slot order, and the 0-based row and new (b, d) span of
+    every move id.  Move id k * (2m + 2) + slot is slot `slot` of k.
+    """
+    N, m = b.shape
+    rows = np.arange(1, m + 1)
+    inside = d > 0
+    b_above = np.column_stack([b[:, 1:], np.full(N, n + 1, dtype=b.dtype)])
+    d_below = np.column_stack([np.zeros(N, dtype=b.dtype), d[:, :-1]])
+    index = np.arange(N)
+    b_t, d_s = b[index, t - 1], d[index, s - 1]
+    valid = np.column_stack([
+        inside & (b > 1) & ((rows == t[:, None]) | (b_above < b)),
+        inside & (d < n) & ((rows == s[:, None]) | (d < d_below)),
+        t < m,
+        s > 1,
+    ])
+    # invalid above/below moves get any row in range; they are never applied
+    move_row = np.column_stack([np.tile(rows - 1, (N, 2)), np.minimum(t, m - 1), s - 2])
+    move_b = np.column_stack([b - 1, b, b_t, d_s])
+    move_d = np.column_stack([d, d + 1, b_t, d_s])
+    moves = np.argsort(~valid, axis=1, kind="stable") + index[:, None] * (2 * m + 2)
+    return valid.sum(axis=1), moves, move_row.ravel(), move_b.ravel(), move_d.ravel()
+
+
+def _staircase_index(b: np.ndarray, d: np.ndarray, n: int):
+    """A map from padded staircases found among the rows of (b, d) to
+    their row positions there.
+
+    Row spans are folded into one integer key as mixed-radix digits.
+    Where a key could overflow int64 it is first renumbered by its rank
+    among the keys of (b, d); the prefix of any staircase found there is
+    among them too, so the same renumbering serves every lookup.
+    """
+    ranks = []
+    key = np.zeros(len(b), dtype=np.int64)
+    for i in range(b.shape[1]):
+        ranks.append(np.unique(key) if key.max() >= np.iinfo(np.int64).max // (n + 2) ** 2 else None)
+        if ranks[i] is not None:
+            key = np.searchsorted(ranks[i], key)
+        key = (key * (n + 2) + b[:, i]) * (n + 2) + d[:, i]
+    order = np.argsort(key)
+    key = key[order]
+
+    def index(jb: np.ndarray, jd: np.ndarray) -> np.ndarray:
+        jkey = np.zeros(len(jb), dtype=np.int64)
+        for i, uniq in enumerate(ranks):
+            if uniq is not None:
+                jkey = np.searchsorted(uniq, jkey)
+            jkey = (jkey * (n + 2) + jb[:, i]) * (n + 2) + jd[:, i]
+        return order[np.searchsorted(key, jkey)]
+
+    return index
+
+
+# cover subsets joined per batch; bounds the scratch memory of a build
+_BATCH = 1 << 12
+
+
+@lru_cache(maxsize=None)
+def _mobius_operator(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One (I_idx, J_idx, sign) entry per nonempty cover subset S of I.
+
+    J is the join of S and sign is (-1)^|S|, so summing the signs of
+    the entries of a pair gives mu([I, J]) for I < J.  Indices are
+    positions in enumerate_intervals(m, n).
+
+    Interval k is held as padded row spans (b[k, i-1], d[k, i-1]) for
+    rows i = 1..m, with (n + 1, 0) outside its rows, so a join of covers
+    is the elementwise min of b and max of d over its members.  Each
+    interval has at most 2m + 2 cover moves, one row span widened each:
+    slot r extends row r + 1 left, slot m + r extends it right, slot 2m
+    starts row t + 1 at (b_t, b_t) and slot 2m + 1 starts row s - 1 at
+    (d_s, d_s).  A pair (interval, subset mask over its valid moves)
+    applies the moves of its set bits; the top-left and bottom-right
+    corner completions of intervals._join_cover_subset follow.
+    """
+    intervals = enumerate_intervals(m, n)
+    pad = ((n + 1, 0),)
+    spans = np.array([pad * (I.s - 1) + I.rows + pad * (m - I.t) for I in intervals], dtype=np.int32)
+    b, d = spans[:, :, 0], spans[:, :, 1]
+    s = (d > 0).argmax(axis=1) + 1
+    t = m - (d[:, ::-1] > 0).argmax(axis=1)
+    count, moves, move_row, move_b, move_d = _cover_moves(b, d, s, t, n)
+
+    # pair p = (interval k[p], mask): bit j of mask is the j-th valid move of k[p]
+    subsets = (1 << count) - 1
+    first = np.cumsum(subsets) - subsets
+    k = np.repeat(np.arange(len(intervals), dtype=np.int32), subsets)
+    J = np.empty(len(k), dtype=np.int32)
+    sign = np.empty(len(k), dtype=np.int8)
+    index_of = _staircase_index(b, d, n)
+    for lo in range(0, len(k), _BATCH):
+        kb = k[lo:lo + _BATCH]
+        mask = np.arange(lo, lo + len(kb)) - first[kb] + 1
+        jb, jd = b[kb], d[kb]
+        flat_b, flat_d = jb.reshape(-1), jd.reshape(-1)
+        above = np.zeros(len(kb), dtype=bool)
+        below = np.zeros(len(kb), dtype=bool)
+        for j in range(int(count.max())):
+            p = np.flatnonzero((mask >> j) & 1)
+            move = moves[kb[p], j]
+            at = p * m + move_row[move]
+            flat_b[at] = np.minimum(flat_b[at], move_b[move])
+            flat_d[at] = np.maximum(flat_d[at], move_d[move])
+            slot = move % (2 * m + 2)
+            above[p] |= slot == 2 * m
+            below[p] |= slot == 2 * m + 1
+        p = np.flatnonzero(above)
+        r = t[kb[p]]
+        jb[p, r] = np.minimum(jb[p, r], jb[p, r - 1])
+        p = np.flatnonzero(below)
+        r = s[kb[p]] - 2
+        jd[p, r] = np.maximum(jd[p, r], jd[p, r + 1])
+        J[lo:lo + len(kb)] = index_of(jb, jd)
+        sign[lo:lo + len(kb)] = np.where(np.bitwise_count(mask) % 2, -1, 1)
+
+    operator = (k, J, sign)
+    for a in operator:
+        a.flags.writeable = False  # shared by every later call through the cache
+    return operator
+
+
 def mobius_invert(f: IntervalFunction, m: int, n: int) -> IntervalFunction:
     """Inverse of the zeta action: g with f(I) = sum_{J >= I} g(J).
 
-    Computed pointwise as g(I) = f(I) + sum over nonempty cover subsets
-    S of (-1)^|S| f(join S).  Values are exact integers; f must be total
-    on the canonical interval list.
-    """
-    out: IntervalFunction = {}
-    for I in enumerate_intervals(m, n):
-        acc = f[I]
-        for size, join in cover_subset_joins(I, m, n):
-            acc += -f[join] if size % 2 else f[join]
-        out[I] = acc
-    return out
-
-
-def zeta_act(g: IntervalFunction, m: int, n: int) -> IntervalFunction:
-    """The zeta action f(I) = sum over J >= I of g(J)."""
-    intervals = enumerate_intervals(m, n)
-    return {I: sum(g[J] for J in intervals if leq(I, J)) for I in intervals}
-
-
-def brute_force_mobius(m: int, n: int) -> dict[tuple[Interval, Interval], int]:
-    """Moebius function on all segments by the defining recursion.
-
-    mu([I, I]) = 1 and mu([I, J]) = - sum over I <= K < J of mu([I, K]).
-    Exponential-free but cubic in the poset size; guarded to posets of
-    at most 5000 intervals and meant for cross-checks, not production.
+    g(I) = f(I) + sum over nonempty cover subsets S of (-1)^|S| f(join S),
+    applied through the cached operator of the m x n grid.  Values are
+    exact integers; f must be total on the canonical interval list.
     """
     intervals = enumerate_intervals(m, n)
-    N = len(intervals)
-    if N > 5000:
-        raise ValueError(f"poset too large for the brute-force recursion: {N} intervals")
-    idx = {I: k for k, I in enumerate(intervals)}
-    below = [[leq(intervals[a], intervals[b]) for b in range(N)] for a in range(N)]
-    by_rank = sorted(range(N), key=lambda k: intervals[k].vertex_count())
-    out: dict[tuple[Interval, Interval], int] = {}
-    for a in range(N):
-        vals: dict[int, int] = {}
-        for b in by_rank:
-            if not below[a][b]:
-                continue
-            if a == b:
-                vals[b] = 1
-                continue
-            vals[b] = -sum(v for k, v in vals.items() if below[k][b] and k != b)
-        for b, v in vals.items():
-            out[(intervals[a], intervals[b])] = v
-    return out
+    values = [f[I] for I in intervals]
+    I_idx, J_idx, sign = _mobius_operator(m, n)
+    # |g| <= |f| times the 2^(2m+2) cover subsets; beyond int64, Python ints
+    exact = max(map(abs, values)) * 4 ** (m + 1) < 2**63
+    g = np.array(values, dtype=np.int64 if exact else object)
+    terms = g[J_idx]  # read before any update: f(join S) for every entry
+    terms *= sign
+    np.add.at(g, I_idx, terms)
+    return dict(zip(intervals, g.tolist()))

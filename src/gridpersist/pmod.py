@@ -22,6 +22,7 @@ non-commuting family of matrices are rejected.
 from __future__ import annotations
 
 import io
+import re
 
 from .ffmat import FFMatrix, FieldSpec
 from .grid import Grid, PersistenceModule, validate
@@ -41,6 +42,10 @@ def _logical_lines(text: str):
         body = raw.split("#", 1)[0].strip()
         if body:
             yield lineno, body
+
+
+# a row of ASCII integers; checked once per row, not once per entry
+_ENTRY_ROW = re.compile(r"-?[0-9]+( -?[0-9]+)*")
 
 
 def _is_natural(word: str) -> bool:
@@ -123,14 +128,13 @@ def parse_pmod(text: str) -> PersistenceModule:
             body = []
             for _ in range(rows):
                 rowline, entries = take(f"a row of {cols} entries")
-                vals = []
-                for w in entries:
-                    if not _is_natural(w.removeprefix("-")):
-                        raise PmodError(f"bad matrix entry {w!r}", rowline)
-                    vals.append(int(w))
+                if _ENTRY_ROW.fullmatch(" ".join(entries)) is None:
+                    bad = next(w for w in entries if not _is_natural(w.removeprefix("-")))
+                    raise PmodError(f"bad matrix entry {bad!r}", rowline)
+                vals = list(map(int, entries))
                 if len(vals) != cols:
                     raise PmodError(f"expected {cols} entries, got {len(vals)}", rowline)
-                if any(not 0 <= v < field.p for v in vals):
+                if min(vals) < 0 or max(vals) >= field.p:
                     raise PmodError(f"entries must be residues in [0, {field.p})", rowline)
                 body.append(vals)
             maps[(kind, i, j)] = FFMatrix(body, field.p)

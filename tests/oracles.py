@@ -6,6 +6,8 @@ with no shared code with the package, so agreement is meaningful.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from gridpersist.compression import (
     ARROW,
     ONE_SOURCE_TWO_SINKS,
@@ -20,7 +22,7 @@ from gridpersist.compression import (
     ss_restrict,
 )
 from gridpersist.ffmat import FFMatrix, block2x2, hstack, vstack
-from gridpersist.intervals import Interval, leq
+from gridpersist.intervals import Interval, Vertex, cover_subset_joins, enumerate_intervals, leq
 
 
 def naive_rank(rows: list[list[int]], p: int) -> int:
@@ -89,6 +91,55 @@ def brute_covers(I: Interval, intervals: tuple[Interval, ...]) -> list[Interval]
     )
 
 
+def zeta_act(g: dict[Interval, int], m: int, n: int) -> dict[Interval, int]:
+    """The zeta action f(I) = sum over J >= I of g(J)."""
+    intervals = enumerate_intervals(m, n)
+    return {I: sum(g[J] for J in intervals if leq(I, J)) for I in intervals}
+
+
+def cover_sum_inversion(f: dict[Interval, int], m: int, n: int) -> dict[Interval, int]:
+    """Moebius inversion one interval at a time, by its definition.
+
+    g(I) = f(I) + sum over nonempty cover subsets S of (-1)^|S| f(join S),
+    with every join built as an Interval by cover_subset_joins.
+    """
+    out = {}
+    for I in enumerate_intervals(m, n):
+        acc = f[I]
+        for size, join in cover_subset_joins(I, m, n):
+            acc += -f[join] if size % 2 else f[join]
+        out[I] = acc
+    return out
+
+
+def brute_force_mobius(m: int, n: int) -> dict[tuple[Interval, Interval], int]:
+    """Moebius function on all segments by the defining recursion.
+
+    mu([I, I]) = 1 and mu([I, J]) = - sum over I <= K < J of mu([I, K]).
+    Exponential-free but cubic in the poset size; guarded to posets of
+    at most 5000 intervals.
+    """
+    intervals = enumerate_intervals(m, n)
+    N = len(intervals)
+    if N > 5000:
+        raise ValueError(f"poset too large for the brute-force recursion: {N} intervals")
+    below = [[leq(intervals[a], intervals[b]) for b in range(N)] for a in range(N)]
+    by_rank = sorted(range(N), key=lambda k: intervals[k].vertex_count())
+    out: dict[tuple[Interval, Interval], int] = {}
+    for a in range(N):
+        vals: dict[int, int] = {}
+        for b in by_rank:
+            if not below[a][b]:
+                continue
+            if a == b:
+                vals[b] = 1
+                continue
+            vals[b] = -sum(v for k, v in vals.items() if below[k][b] and k != b)
+        for b, v in vals.items():
+            out[(intervals[a], intervals[b])] = v
+    return out
+
+
 def block_multiplicity(table, I: Interval) -> int:
     """Compressed multiplicity from the block closed forms of each shape.
 
@@ -154,3 +205,133 @@ def hom_multiplicity(module, table, I: Interval) -> int:
     assert shape.kind == TWO_SOURCES_TWO_SINKS
     middle, end = almost_split_fixtures(shape, p)
     return hom_dim(thin, comp) - hom_dim(middle, comp) + hom_dim(end, comp)
+
+
+# --- interval poset tools: closures, intersections, meets, essential vertices
+
+class NoJoinError(ValueError):
+    """Raised when a vertex set has no unambiguous enclosing interval."""
+
+
+def upper_set(I: Interval, m: int, n: int) -> tuple[Interval, ...]:
+    """All J in the m x n interval poset with I <= J, canonical order."""
+    return tuple(J for J in enumerate_intervals(m, n) if leq(I, J))
+
+
+def convex_closure(vs: Iterable[Vertex]) -> Interval:
+    """Smallest interval containing a connected vertex set.
+
+    Repeatedly adds every vertex lying between two present ones until
+    stable.  Raises NoJoinError when the input is not connected in the
+    undirected grid graph, since the enclosing interval is then not
+    unique in general.
+    """
+    cur = set(vs)
+    if not cur:
+        raise NoJoinError("empty vertex set")
+    if not _is_connected(cur):
+        raise NoJoinError("vertex set is disconnected; no unique enclosing interval")
+    changed = True
+    while changed:
+        changed = False
+        lo_i = min(i for i, _ in cur)
+        hi_i = max(i for i, _ in cur)
+        lo_j = min(j for _, j in cur)
+        hi_j = max(j for _, j in cur)
+        for i in range(lo_i, hi_i + 1):
+            for j in range(lo_j, hi_j + 1):
+                z = (i, j)
+                if z in cur:
+                    continue
+                below = any(x <= i and y <= j for x, y in cur)
+                above = any(x >= i and y >= j for x, y in cur)
+                if below and above:
+                    cur.add(z)
+                    changed = True
+    return Interval.from_vertices(cur)
+
+
+def _is_connected(vs: set[Vertex]) -> bool:
+    start = next(iter(vs))
+    seen = {start}
+    stack = [start]
+    while stack:
+        i, j = stack.pop()
+        for w in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+            if w in vs and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(vs)
+
+
+def intersection_components(I: Interval, J: Interval) -> tuple[Interval, ...]:
+    """Connected components of the vertex intersection of I and J.
+
+    The intersection of two staircases is a disjoint union of
+    staircases: per-row span intersections split exactly where
+    consecutive nonempty rows fail to overlap.  Components are returned
+    in canonical order.
+    """
+    lo = max(I.s, J.s)
+    hi = min(I.t, J.t)
+    runs: list[list[tuple[int, tuple[int, int]]]] = []
+    current: list[tuple[int, tuple[int, int]]] = []
+    for i in range(lo, hi + 1):
+        b = max(I.span(i)[0], J.span(i)[0])
+        d = min(I.span(i)[1], J.span(i)[1])
+        if b > d:
+            if current:
+                runs.append(current)
+                current = []
+            continue
+        if current:
+            prev_b, prev_d = current[-1][1]
+            if prev_b > d:
+                runs.append(current)
+                current = []
+        current.append((i, (b, d)))
+    if current:
+        runs.append(current)
+    out = [Interval(run[0][0], run[-1][0], tuple(span for _, span in run)) for run in runs]
+    return tuple(sorted(out))
+
+
+def meet_over(I: Interval, J1: Interval, J2: Interval) -> Interval:
+    """Meet of J1 and J2 in the local lattice of intervals above I.
+
+    Requires I <= J1 and I <= J2; the result is the unique connected
+    component of the intersection that contains I.
+    """
+    if not (leq(I, J1) and leq(I, J2)):
+        raise ValueError("meet_over needs I below both arguments")
+    for comp in intersection_components(J1, J2):
+        if leq(I, comp):
+            return comp
+    raise AssertionError("unreachable: I must lie in some component")
+
+
+# --- essential vertices ------------------------------------------------
+
+def ss_essential(I: Interval) -> tuple[Vertex, ...]:
+    """Sources and sinks of I viewed as a subquiver of the grid.
+
+    A source has no in-arrow inside I, a sink no out-arrow.  The result
+    is sorted; sources and sinks of a staircase are always distinct
+    vertices of the form (i, b_i) and (i, d_i).
+    """
+    vs = I.vertices()
+    out = []
+    for i, j in vs:
+        is_source = (i, j - 1) not in vs and (i - 1, j) not in vs
+        is_sink = (i, j + 1) not in vs and (i + 1, j) not in vs
+        if is_source or is_sink:
+            out.append((i, j))
+    return tuple(sorted(out))
+
+
+def cc_essential(I: Interval) -> tuple[Vertex, ...]:
+    """Vertices of I lying on both a source/sink row and column."""
+    ess = ss_essential(I)
+    rows = {i for i, _ in ess}
+    cols = {j for _, j in ess}
+    return tuple(sorted(v for v in I.vertices() if v[0] in rows and v[1] in cols))

@@ -42,13 +42,12 @@ from gridpersist.grid import (
 )
 from gridpersist.intervals import (
     Interval,
-    convex_closure,
     covers,
     enumerate_intervals,
     join_covers,
 )
-from gridpersist.mobius import brute_force_mobius, mobius_invert, mu_prime, zeta_act
-from oracles import hom_multiplicity
+from gridpersist.mobius import mobius_invert, mu_prime
+from oracles import brute_force_mobius, convex_closure, hom_multiplicity, zeta_act
 
 iv = Interval.from_string
 

@@ -12,7 +12,6 @@ from gridpersist.approximation import (
     negative_part,
     positive_part,
     rank_of_sum,
-    recover_multiplicities,
 )
 from gridpersist.compression import compressed_multiplicity_function
 from gridpersist.ffmat import GF2, FieldSpec
@@ -32,6 +31,7 @@ from gridpersist.grid import (
     rank_invariant,
 )
 from gridpersist.intervals import Interval
+from gridpersist.mobius import mobius_invert
 
 iv = Interval.from_string
 
@@ -110,10 +110,10 @@ class TestExactOnDecomposables:
             approx = interval_approximation(m)
             assert approx.coeffs == {iv(text): 1}
 
-    def test_recover_multiplicities_alias(self):
+    def test_mobius_invert_of_compressed_function(self):
         m = example_module()
         f = compressed_multiplicity_function(m)
-        g = recover_multiplicities(f, 2, 3)
+        g = mobius_invert(f, 2, 3)
         approx = interval_approximation(m)
         assert {I: c for I, c in g.items() if c} == approx.coeffs
 

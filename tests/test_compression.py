@@ -36,8 +36,7 @@ from gridpersist.grid import (
     rank_invariant,
 )
 from gridpersist.intervals import Interval, enumerate_intervals, leq
-from gridpersist.mobius import zeta_act
-from oracles import block_multiplicity, hom_multiplicity
+from oracles import block_multiplicity, hom_multiplicity, zeta_act
 
 iv = Interval.from_string
 

@@ -8,21 +8,24 @@ import pytest
 
 from gridpersist.intervals import (
     Interval,
-    NoJoinError,
-    cc_essential,
-    convex_closure,
     covers,
     enumerate_intervals,
-    intersection_components,
     interval_contains_rectangle,
     join_covers,
     leq,
-    meet_over,
     rectangle_from,
+)
+from oracles import (
+    NoJoinError,
+    brute_covers,
+    cc_essential,
+    convex_closure,
+    intersection_components,
+    meet_over,
     ss_essential,
+    subset_interval_count,
     upper_set,
 )
-from oracles import brute_covers, subset_interval_count
 
 
 def iv(text: str) -> Interval:
@@ -117,6 +120,21 @@ class TestOrder:
         assert interval_contains_rectangle(I, (1, 2), (2, 2))
         assert not interval_contains_rectangle(I, (1, 1), (1, 2))
         assert not interval_contains_rectangle(I, (1, 2), (2, 3))
+
+    @pytest.mark.parametrize("m,n", [(2, 4), (3, 3)])
+    def test_rectangle_containment_equals_leq(self, m, n):
+        vertices = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+        pairs = [(a, b) for a in vertices for b in vertices if a[0] <= b[0] and a[1] <= b[1]]
+        for I in enumerate_intervals(m, n):
+            for src, dst in pairs:
+                expect = leq(rectangle_from(src, dst), I)
+                assert interval_contains_rectangle(I, src, dst) == expect, (I, src, dst)
+
+    def test_rectangle_containment_needs_comparable_pair(self):
+        I = iv("1..2:[1,3];[1,3]")
+        for src, dst in [((2, 2), (1, 3)), ((1, 3), (2, 2))]:
+            with pytest.raises(ValueError, match="is not componentwise below"):
+                interval_contains_rectangle(I, src, dst)
 
 
 class TestCovers:

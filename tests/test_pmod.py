@@ -120,6 +120,31 @@ class TestRejection:
         if line is not None:
             assert err.value.line == line, str(err.value)
 
+    @pytest.mark.parametrize("row,message", [
+        ("1 -0", None),
+        ("1 \t 2", None),
+        ("1 -1", "line 7: entries must be residues in [0, 3)"),
+        ("1 3", "line 7: entries must be residues in [0, 3)"),
+        ("1 \u00b2", "line 7: bad matrix entry '\u00b2'"),
+        ("x \u00b2", "line 7: bad matrix entry 'x'"),
+        ("1 --1", "line 7: bad matrix entry '--1'"),
+        ("1 -", "line 7: bad matrix entry '-'"),
+        ("+1 0", "line 7: bad matrix entry '+1'"),
+        ("1_0 1", "line 7: bad matrix entry '1_0'"),
+        ("1 x 0", "line 7: bad matrix entry 'x'"),
+        ("1 2 0", "line 7: expected 2 entries, got 3"),
+        ("1", "line 7: expected 2 entries, got 1"),
+    ])
+    def test_entry_row_messages(self, row, message):
+        doc = f"PMOD 1\nfield 3\ngrid 1 2\ndim 1 1 2\ndim 1 2 1\nmap h 1 1\n{row}\nEND\n"
+        if message is None:
+            expect = [[int(w) for w in row.split()]]
+            assert parse_pmod(doc).hmaps[(1, 1)].tolist() == expect
+            return
+        with pytest.raises(PmodError) as err:
+            parse_pmod(doc)
+        assert str(err.value) == message
+
     def test_noncommuting_square_names_square(self):
         bad = _replace_line(GOOD, "map h 2 1\n1", "map h 2 1\n0")
         with pytest.raises(PmodError, match=r"square at \(1, 1\)"):
