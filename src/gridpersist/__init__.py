@@ -11,17 +11,7 @@ from .approximation import (
     positive_part,
     rank_of_sum,
 )
-from .compression import (
-    QuiverRep,
-    SsShape,
-    almost_split_fixtures,
-    classify_ss,
-    compressed_multiplicity_function,
-    hom_dim,
-    restrict,
-    ss_interval_rep,
-    ss_restrict,
-)
+from .compression import SsShape, classify_ss, compressed_multiplicity_function
 from .ffmat import (
     GF2,
     FFMatrix,

@@ -37,20 +37,33 @@ The ranks are grouped, and the grouping is exact:
   factors through the second.  So one echelon form of
   [M((i, 1) -> t) | ... | M((i, j) -> t)] has r_b pivots in its first b
   blocks, r_b = rank M((i, b) -> t), and the first r_b of its pivot
-  columns V_t span im M((i, b) -> t).
-* Pivot prefix.  The echelon cores scan columns left to right, so the
-  pivots among the first c columns of a matrix number the rank of those
-  columns.  One echelon form of [B | V_t2] therefore gives rank B and
-  rank [A | B] for every source s2 of row 2, and one of [W | V_t2] gives
-  rank W and rank [A | W].
+  columns V_t span im M((i, b) -> t).  So rank [A | x] = rank [V_c | x]
+  with c = r_b for A = M((2, b) -> t).
+* One change of coordinates per sink.  For a sink t on row 2 the same
+  elimination, run on [images | I], also gives an invertible L with
+  L V_t = [I ; 0]: the reduced form makes each pivot column a unit
+  vector, and L lists the rows holding pivots first, in pivot-column
+  order.  An invertible L keeps ranks, and L V_c is the first c unit
+  vectors, so for every x
 
-That is one echelon form per sink, per (s1, t2) and per (s1, t1, t2),
-one kernel per (s1, t1) and one product W per (s1, t1, t2), shared by
-every interval with those role vertices.
+      rank [V_c | x] = rank [L V_c | L x] = c + rank((L x)[c:]).
 
-The generic Hom-dimension solver below provides an independent route to
-the same numbers through almost split sequences and is kept as the test
-oracle for the closed forms.
+  Without that row order L V_c would be c unit vectors in scattered
+  rows, and the identity would fail.
+* Suffix ranks in one elimination.  The echelon cores scan columns left
+  to right, so the pivots among the first k columns of a matrix number
+  the rank of those columns.  L x with its rows reversed, then
+  transposed, has the rows of (L x)[c:] as its first d - c columns, so
+  its pivots give rank((L x)[c:]) for every c at once.  Every B and
+  every W = B ker C of a sink t is a member of one zero-padded stack
+  (split only past _BATCH members), so one elimination gives rank B,
+  rank W, rank [A | B] and rank [A | W] for all the intervals with
+  sink t.
+
+The kernels of M(s1 -> t1) for one source s1 come from one stack too,
+rows zero-padded.  So a 2 x n module takes one elimination per sink,
+one suffix stack per sink of row 2 and one kernel stack per source of
+row 1; V never enters an elimination again.
 """
 
 from __future__ import annotations
@@ -58,16 +71,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .ffmat import FFMatrix, ShapeError, kernel_basis, mat_mul, mat_rank, pivot_columns
+from .ffmat import FFMatrix, Stack, kernel_bases, mat_mul, pivot_columns, reducing_transform
 from .grid import PersistenceModule, path_map_table
 from .intervals import Interval, Vertex, enumerate_intervals
 
 # perfbench/tracer.py patches these names on this module; nothing here calls them
-from .ffmat import block2x2, hstack, vstack  # noqa: F401
+from .ffmat import block2x2, hstack, mat_rank, vstack  # noqa: F401
 
 PathTable = dict[tuple[Vertex, Vertex], FFMatrix]
 
@@ -122,10 +135,29 @@ def classify_ss(I: Interval) -> SsShape:
     )
 
 
-def _prefix_ranks(x: np.ndarray, v: np.ndarray, cuts: list[int], p: int) -> list[int]:
-    """rank [x | v[:, :c]] for every c in cuts, from one echelon form."""
-    piv = pivot_columns(FFMatrix(np.hstack([x, v[:, : cuts[-1]]]), p))
-    return [bisect_left(piv, x.shape[1] + c) for c in cuts]
+# members per suffix-rank stack; bounds the scratch of one elimination
+_BATCH = 64
+
+
+def _suffix_ranks(members: Iterator[tuple[object, FFMatrix]], count: int, width: int, d: int, p: int):
+    """Yield (tag, s) for each of the count pairs (tag, y) of members,
+    y a d x w matrix with w <= width, where s[k] = rank y[d - k:].
+
+    y with its rows reversed, then transposed, has the rows y[d - k:] as
+    its first k columns, so one elimination of a stack of such members
+    gives every s at once.  A stack holds at most _BATCH members, and
+    each y is dropped once it is stacked.
+    """
+    for lo in range(0, count, _BATCH):
+        size = min(_BATCH, count - lo)
+        stack = Stack(size, width, d, p)
+        tags = []
+        for k, (tag, y) in zip(range(size), members):
+            stack[k] = y.data[::-1].T
+            tags.append(tag)
+        s = np.zeros((size, d + 1), dtype=np.int64)
+        np.cumsum(stack.eliminate() >= 0, axis=1, out=s[:, 1:])
+        yield from zip(tags, s.tolist())
 
 
 class _GroupedRanks:
@@ -146,24 +178,36 @@ class _GroupedRanks:
         kernels: dict[tuple[Vertex, Vertex], FFMatrix] = {}
         for t in g.vertices():
             i, j = t
-            images = FFMatrix(np.hstack([table[((i, b), t)].data for b in range(1, j + 1)]), p)
-            piv = pivot_columns(images)
+            images = FFMatrix._wrap(np.hstack([table[((i, b), t)].data for b in range(1, j + 1)]), p)
+            if i == 1:
+                pivots = pivot_columns(images)
+            else:
+                pivots, lmat = reducing_transform(images)
             ends = accumulate((dims[(i, b)] for b in range(1, j + 1)), initial=0)
-            rect = self.rect[t] = [bisect_left(piv, e) for e in ends]
+            rect = self.rect[t] = [bisect_left(pivots, e) for e in ends]
             if i == 1:
                 continue
-            v = images.data[:, piv]
-            for b1 in range(1, j + 1):
-                s1 = (1, b1)
-                bmat = table[(s1, t)]
-                self.pair[(s1, t)] = _prefix_ranks(bmat.data, v, rect[:b1], p)
-                for d1 in range(j + 1, g.n + 1):
-                    t1 = (1, d1)
-                    ker = kernels.get((s1, t1))
-                    if ker is None:
-                        ker = kernels[(s1, t1)] = kernel_basis(table[(s1, t1)])
-                    w = mat_mul(bmat, ker)
-                    self.triple[(s1, t1, t)] = _prefix_ranks(w.data, v, rect[:b1], p)
+            if j < g.n:
+                s1 = (1, j)
+                targets = [(1, d1) for d1 in range(j + 1, g.n + 1)]
+                bases = kernel_bases([table[(s1, t1)] for t1 in targets])
+                kernels.update(((s1, t1), k) for t1, k in zip(targets, bases))
+
+            def members():
+                # L B and L W for every B = M(s1 -> t) and W = B ker C of sink t
+                for b1 in range(1, j + 1):
+                    lb = mat_mul(lmat, table[((1, b1), t)])
+                    yield (self.pair, ((1, b1), t), b1), lb
+                    for d1 in range(j + 1, g.n + 1):
+                        key = ((1, b1), (1, d1), t)
+                        yield (self.triple, key, b1), mat_mul(lb, kernels[key[:2]])
+
+            # a W = B ker C has at most as many columns as its B
+            width = max(dims[(1, b1)] for b1 in range(1, j + 1))
+            d = dims[t]
+            for (out, key, b1), s in _suffix_ranks(members(), j * (g.n - j + 1), width, d, p):
+                # rank [V_c | x] = c + rank((L x)[c:])
+                out[key] = [c + s[d - c] for c in rect[:b1]]
             # sinks further right on row 2 need no kernel of a map ending at (1, j + 1)
             for b1 in range(1, j + 1):
                 kernels.pop(((1, b1), (1, j + 1)), None)
@@ -196,173 +240,3 @@ def compressed_multiplicity_function(module: PersistenceModule) -> dict[Interval
     intervals = enumerate_intervals(g.m, g.n)
     ranks = _GroupedRanks(module, path_map_table(module))
     return {I: ranks.value(I) for I in intervals}
-
-
-# --- quiver restriction and the Hom-dimension oracle -------------------
-
-@dataclass(frozen=True)
-class QuiverRep:
-    """A representation of a finite quiver over GF(p).
-
-    Vertices are indexed 0..len(dims)-1, arrows[k] = (src, dst) carries
-    the matrix mats[k] of shape dims[dst] x dims[src].  labels
-    optionally remembers originating grid vertices.
-    """
-
-    p: int
-    dims: tuple[int, ...]
-    arrows: tuple[tuple[int, int], ...]
-    mats: tuple[FFMatrix, ...]
-    labels: tuple[Vertex, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.mats) != len(self.arrows):
-            raise ShapeError("arrows and matrices must be parallel")
-        for (src, dst), mat in zip(self.arrows, self.mats):
-            want = (self.dims[dst], self.dims[src])
-            if mat.shape != want or mat.p != self.p:
-                raise ShapeError(f"arrow {src}->{dst} must be {want} over GF({self.p})")
-
-
-def restrict(
-    module: PersistenceModule,
-    table: PathTable,
-    E: Sequence[Vertex],
-    arrows: Sequence[tuple[Vertex, Vertex]],
-) -> QuiverRep:
-    """Restriction of a module to chosen vertices and path maps.
-
-    E lists grid vertices; arrows lists comparable grid vertex pairs
-    with both endpoints in E.  The arrow matrices are the composed path
-    maps from the table, so the result is the compression of the module
-    along that subquiver.
-    """
-    index = {v: k for k, v in enumerate(E)}
-    if len(index) != len(E):
-        raise ValueError("duplicate vertices in restriction")
-    pairs = []
-    for src, dst in arrows:
-        if src not in index or dst not in index:
-            raise ValueError(f"arrow {src}->{dst} leaves the restriction vertex set")
-        if not (src[0] <= dst[0] and src[1] <= dst[1]):
-            raise ValueError(f"arrow {src}->{dst} is not order-increasing")
-        pairs.append((index[src], index[dst]))
-    return QuiverRep(
-        p=module.field.p,
-        dims=tuple(module.dims[v] for v in E),
-        arrows=tuple(pairs),
-        mats=tuple(table[(src, dst)] for src, dst in arrows),
-        labels=tuple(E),
-    )
-
-
-def hom_dim(A: QuiverRep, B: QuiverRep) -> int:
-    """dim Hom(A, B) for representations of the same quiver.
-
-    A morphism is a family f_v : A(v) -> B(v) with
-    f_dst A(alpha) = B(alpha) f_src for every arrow.  The constraints
-    are assembled as one linear system via Kronecker products and the
-    dimension is unknowns minus rank.
-    """
-    if A.arrows != B.arrows or len(A.dims) != len(B.dims):
-        raise ShapeError("hom_dim needs representations of the same quiver")
-    if A.p != B.p:
-        raise ShapeError("modulus mismatch")
-    p = A.p
-    sizes = [B.dims[v] * A.dims[v] for v in range(len(A.dims))]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
-    rows = []
-    for (src, dst), amat, bmat in zip(A.arrows, (m.data for m in A.mats), (m.data for m in B.mats)):
-        height = A.dims[src] * B.dims[dst]
-        if height == 0:
-            continue
-        block = np.zeros((height, total), dtype=np.int64)
-        # vec is column-stacked: vec(f_dst A) = (A^T kron I) vec(f_dst)
-        # and vec(B f_src) = (I kron B) vec(f_src).
-        block[:, offsets[dst]:offsets[dst + 1]] = np.kron(amat.T, np.eye(B.dims[dst], dtype=np.int64))
-        block[:, offsets[src]:offsets[src + 1]] -= np.kron(np.eye(A.dims[src], dtype=np.int64), bmat)
-        rows.append(block % p)
-    if not rows:
-        return total
-    system = FFMatrix(np.vstack(rows), p)
-    return total - mat_rank(system)
-
-
-# --- fixed small representations for the oracle route ------------------
-
-_SS_ARROWS = {
-    POINT: (),
-    ARROW: ((0, 1),),
-    TWO_SOURCES_ONE_SINK: ((0, 2), (1, 2)),  # vertices [s1, s2, t2]
-    ONE_SOURCE_TWO_SINKS: ((0, 1), (0, 2)),  # vertices [s1, t1, t2]
-    TWO_SOURCES_TWO_SINKS: ((1, 3), (0, 3), (0, 2)),  # vertices [s1, s2, t1, t2]
-}
-
-
-def ss_quiver_vertices(shape: SsShape) -> tuple[Vertex, ...]:
-    """Grid vertices of the compression quiver, in the fixed order used
-    throughout this module."""
-    if shape.kind in (POINT,):
-        return (shape.src,)
-    if shape.kind == ARROW:
-        return (shape.src, shape.dst)
-    if shape.kind == TWO_SOURCES_ONE_SINK:
-        return (shape.s1, shape.s2, shape.t2)
-    if shape.kind == ONE_SOURCE_TWO_SINKS:
-        return (shape.s1, shape.t1, shape.t2)
-    return (shape.s1, shape.s2, shape.t1, shape.t2)
-
-
-def ss_restrict(module: PersistenceModule, table: PathTable, I: Interval) -> QuiverRep:
-    """Compression of the module along the source-sink quiver of I."""
-    shape = classify_ss(I)
-    verts = ss_quiver_vertices(shape)
-    arrows = [(verts[a], verts[b]) for a, b in _SS_ARROWS[shape.kind]]
-    return restrict(module, table, verts, arrows)
-
-
-def ss_interval_rep(shape: SsShape, p: int) -> QuiverRep:
-    """The compressed interval module: one-dimensional with identities."""
-    arrows = _SS_ARROWS[shape.kind]
-    nverts = len(ss_quiver_vertices(shape))
-    one = FFMatrix.identity(1, p)
-    return QuiverRep(p=p, dims=(1,) * nverts, arrows=arrows, mats=(one,) * len(arrows))
-
-
-def almost_split_fixtures(shape: SsShape, p: int) -> tuple[QuiverRep, QuiverRep]:
-    """The middle and end terms (B, C) of the almost split sequence
-    starting at the compressed interval module of a two-sources,
-    two-sinks interval.
-
-    On the quiver s2 -> t2 <- s1 -> t1, B has dimension vector
-    (s1: 2, s2: 1, t1: 1, t2: 1) with arrow matrices [1] to t2 from s2,
-    the projection [1 0] from s1 to t2 and [0 1] from s1 to t1; C is the
-    simple at s1.  Multiplicity satisfies
-    hom(I', M') - hom(B, M') + hom(C, M').
-    """
-    if shape.kind != TWO_SOURCES_TWO_SINKS:
-        raise ValueError(f"almost split fixtures are defined for {TWO_SOURCES_TWO_SINKS} only")
-    arrows = _SS_ARROWS[TWO_SOURCES_TWO_SINKS]
-    # vertex order [s1, s2, t1, t2]
-    b = QuiverRep(
-        p=p,
-        dims=(2, 1, 1, 1),
-        arrows=arrows,
-        mats=(
-            FFMatrix([[1]], p),        # s2 -> t2
-            FFMatrix([[1, 0]], p),     # s1 -> t2
-            FFMatrix([[0, 1]], p),     # s1 -> t1
-        ),
-    )
-    c = QuiverRep(
-        p=p,
-        dims=(1, 0, 0, 0),
-        arrows=arrows,
-        mats=(
-            FFMatrix.zeros(0, 0, p),
-            FFMatrix.zeros(0, 1, p),
-            FFMatrix.zeros(0, 1, p),
-        ),
-    )
-    return b, c

@@ -6,16 +6,24 @@ k x 0 or 0 x k matrix is the unique linear map from or to the zero space
 and participates in products, stacking and rank like any other matrix.
 
 One echelon core per field family serves pivot columns, rank, kernel
-and inverse.  For p = 2 rows are packed into 64-bit words and eliminated
-with XOR; for general p a vectorised elimination with modular pivot
-inverses is used.  Pivot columns and rank stop at a row echelon form;
-kernel and inverse ask the same core for the reduced form.  Both cores
-are exact and scan columns left to right.
+and inverse.  A core takes a Stack of matrices, zero-padded to one
+shape, and brings every member to reduced row echelon form in one
+left-to-right column loop: each step is a handful of numpy calls on the
+whole stack, so a stack of many small matrices costs about as many
+calls as one.  Rows are never swapped; each member tracks its free
+rows, and the core returns the row holding each column's pivot.  The
+loop ends once every row of every member holds a pivot.  For p = 2
+rows are packed into 64-bit words and eliminated with XOR; for other p
+entries are uint32 and pivot rows are scaled by a table of inverses.
+The single-matrix functions pass a stack of one; mat_ranks and
+kernel_bases stack many matrices at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -153,98 +161,213 @@ def mat_mul(a: FFMatrix, b: FFMatrix) -> FFMatrix:
     return FFMatrix._wrap(prod % p, p)
 
 
-def _echelon_gf2(arr: np.ndarray, reduced: bool) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form over GF(2) and its pivot columns.
+# members per stack in the batched helpers; bounds the scratch of one elimination
+_BATCH = 64
 
-    Rows are packed into little-endian 64-bit words and eliminated with
-    XOR; the result is unpacked once at the end.  With reduced=True the
-    rows above each pivot are cleared too, giving the reduced form.
+
+class Stack:
+    """count matrices over GF(p), zero-padded to rows x cols and laid out
+    for their field's echelon core: for p = 2 each row is packed into
+    little-endian 64-bit words, stored word-major; for other p the
+    entries are uint32.
+
+    Zero rows and trailing zero columns never hold a pivot, so padding
+    changes no member's pivot columns, rank or kernel.
     """
-    rows, cols = arr.shape
-    words = (cols + 63) // 64
-    padded = np.zeros((rows, words * 64), dtype=np.uint8)
-    padded[:, :cols] = arr
-    a = np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        w = c >> 6
-        mask = np.uint64(1 << (c & 63))
-        nz = np.nonzero(a[r:, w] & mask)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            # the swapped-out row r had a zero bit here, so the rows below
-            # left to eliminate are still exactly nz[1:]
-            a[[r, piv]] = a[[piv, r]]
-        hit = r + nz[1:]
-        if reduced:
-            hit = np.concatenate((np.nonzero(a[:r, w] & mask)[0], hit))
-        if hit.size:
-            a[hit] ^= a[r]
-        pivots.append(c)
-        r += 1
-    bits = np.unpackbits(a.view(np.uint8), axis=1, count=cols, bitorder="little")
-    return bits.astype(np.int64), pivots
+
+    __slots__ = ("p", "cols", "data")
+
+    def __init__(self, count: int, rows: int, cols: int, p: int):
+        self.p, self.cols = p, cols
+        if p == 2:
+            self.data = np.zeros(((cols + 63) // 64, count, rows), dtype=np.uint64)
+        else:
+            self.data = np.zeros((count, rows, cols), dtype=np.uint32)
+
+    def __setitem__(self, k: int, member: np.ndarray) -> None:
+        """Store a matrix with entries in [0, p) as member k."""
+        rows, cols = member.shape
+        if self.p == 2:
+            packed = np.zeros((rows, 8 * self.data.shape[0]), dtype=np.uint8)
+            packed[:, : (cols + 7) // 8] = np.packbits(member, axis=1, bitorder="little")
+            self.data[:, k, :rows] = packed.view(np.uint64).T
+        else:
+            self.data[k, :rows, :cols] = member
+
+    def eliminate(self) -> np.ndarray:
+        """Bring every member to reduced row echelon form, in place.
+
+        Returns a (count, cols) array: the row holding the pivot of each
+        member's column, or -1 where the column has no pivot.
+        """
+        if self.p == 2:
+            return _echelon_gf2(self.data, self.cols)
+        return _echelon_gfp(self.data, self.p)
+
+    def reduced(self, start: int = 0) -> np.ndarray:
+        """Columns start: of every member, as an int64 array."""
+        if self.p != 2:
+            return self.data[:, :, start:].astype(np.int64)
+        w = start >> 6
+        rows = np.ascontiguousarray(self.data[w:].transpose(1, 2, 0))
+        bits = np.unpackbits(rows.view(np.uint8), axis=2, count=self.cols - 64 * w, bitorder="little")
+        return bits[:, :, start - 64 * w:].astype(np.int64)
 
 
-def _echelon_gfp(arr: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form over GF(p) with unit pivots, and its pivot columns.
+def _echelon_gf2(a: np.ndarray, cols: int) -> np.ndarray:
+    """The GF(2) core on a (words, count, rows) stack of packed rows.
 
-    Vectorised elimination with modular pivot inverses.  With
-    reduced=True the rows above each pivot are cleared too, giving the
-    reduced form.
+    Word-major order keeps each update's inner loop as long as a member
+    has rows.  The core visits only live columns, those where some
+    member has a free row with a one.  An update adds a free row to
+    other rows, so a column that is zero on every free row stays so:
+    the live bits of a word, read again after each pivot, name the next
+    column with a pivot.
     """
-    a = arr.copy()
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
+    words, count, rows = a.shape
+    piv = np.full((count, cols), -1, dtype=np.int64)
+    free = np.ones((count, rows), dtype=bool)
+    members = np.arange(count)
+    for w in range(words):
+        if not free.any():
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        k = -1
+        while live := int(np.bitwise_or.reduce(a[w][free])) >> (k + 1):
+            k += (live & -live).bit_length()
+            bits = (a[w] >> np.uint64(k)) & np.uint64(1)
+            cand = free & (bits != 0)
+            r = cand.argmax(axis=1)
+            found = cand[members, r]
+            # every other row holding column k takes the pivot row; a member
+            # without a pivot here XORs a zero row
+            prow = a[w:, members, r] * found
+            bits[members, r] = 0
+            a[w:] ^= prow[:, :, None] * bits
+            free[members, r] ^= found
+            piv[:, 64 * w + k] = np.where(found, r, -1)
+    return piv
+
+
+@lru_cache(maxsize=None)
+def _inverses(p: int) -> np.ndarray:
+    """x**(p - 2) mod p for every x in [0, p): each unit's inverse, and 0 for 0."""
+    inv = np.ones(p, dtype=np.uint64)
+    base = np.arange(p, dtype=np.uint64)
+    e = p - 2
+    while e:
+        if e & 1:
+            inv *= base
+            inv %= p
+        base *= base
+        base %= p
+        e >>= 1
+    inv[0] = 0
+    return inv.astype(np.uint32)
+
+
+def _echelon_gfp(a: np.ndarray, p: int) -> np.ndarray:
+    """The GF(p) core on a (count, rows, cols) uint32 stack.
+
+    Like the GF(2) core it visits only live columns, found 64 at a time.
+    Entries stay in [0, p) and p < 2**16, so an update adds at most
+    p (p - 1) to an entry below p and never leaves uint32.
+    """
+    count, rows, cols = a.shape
+    piv = np.full((count, cols), -1, dtype=np.int64)
+    free = np.ones((count, rows), dtype=bool)
+    members = np.arange(count)
+    inverse = _inverses(p)
+    c = 0
+    while c < cols and free.any():
+        live = (a[:, :, c:c + 64] != 0)[free].any(axis=0)
+        if not live.any():
+            c += 64
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        # row r is zero left of c, so only columns c: change
-        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), -1, p)) % p
-        hit = r + nz[1:]
-        if reduced:
-            hit = np.concatenate((np.nonzero(a[:r, c])[0], hit))
-        if hit.size:
-            a[hit, c:] = (a[hit, c:] - np.outer(a[hit, c], a[r, c:])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
+        c += int(live.argmax())
+        col = a[:, :, c]
+        cand = free & (col != 0)
+        r = cand.argmax(axis=1)
+        found = cand[members, r]
+        # the unit pivot row, or a zero row for a member without a pivot here
+        prow = a[members, r, c:]
+        prow = prow * (inverse[prow[:, 0]] * found)[:, None] % p
+        # a row with entry e in column c gains (p - e) times the unit row,
+        # which clears it; the pivot row gains (p - e + 1) times it, which
+        # leaves it equal to the unit row.  Rows with e = 0 are left alone.
+        hb, hr = np.nonzero(col)
+        gain = p - col[hb, hr]
+        gain += hr == r[hb]
+        a[hb, hr, c:] = (a[hb, hr, c:] + gain[:, None] * prow[hb]) % p
+        free[members, r] ^= found
+        piv[:, c] = np.where(found, r, -1)
+        c += 1
+    return piv
 
 
-def _echelon(arr: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:
-    """Echelon form of an array reduced mod p, by the core of its field."""
-    if p == 2:
-        return _echelon_gf2(arr, reduced)
-    return _echelon_gfp(arr, p, reduced)
+def _stack_of(mats: Sequence[FFMatrix], p: int) -> Stack:
+    """The matrices as one stack, zero-padded to the largest rows and columns."""
+    stack = Stack(len(mats), max(a.rows for a in mats), max(a.cols for a in mats), p)
+    for k, a in enumerate(mats):
+        stack[k] = a.data
+    return stack
 
 
 def pivot_columns(a: FFMatrix) -> list[int]:
     """Ascending pivot columns of a row echelon form of a.
 
-    Both cores scan columns left to right, so column c is a pivot
-    exactly when it is not in the span of the columns before it: the
-    pivots below c number rank a[:, :c], for every c.
+    The cores scan columns left to right, so column c is a pivot exactly
+    when it is not in the span of the columns before it: the pivots
+    below c number rank a[:, :c], for every c.
     """
-    if a.rows == 0 or a.cols == 0:
-        return []
-    return _echelon(a.data, a.p, reduced=False)[1]
+    return np.flatnonzero(_stack_of([a], a.p).eliminate()[0] >= 0).tolist()
 
 
 def mat_rank(a: FFMatrix) -> int:
     """Rank of a over GF(p); a 0 x k or k x 0 matrix has rank 0."""
     return len(pivot_columns(a))
+
+
+def mat_ranks(mats: Sequence[FFMatrix]) -> list[int]:
+    """Ranks of matrices over one field, eliminated _BATCH at a time as
+    zero-padded stacks."""
+    if not mats:
+        return []
+    p = _check_same_p(*mats)
+    out: list[int] = []
+    for lo in range(0, len(mats), _BATCH):
+        piv = _stack_of(mats[lo:lo + _BATCH], p).eliminate()
+        out += np.count_nonzero(piv >= 0, axis=1).tolist()
+    return out
+
+
+def _kernel(form: np.ndarray, piv: np.ndarray, p: int) -> FFMatrix:
+    """Kernel basis from a reduced form and its pivot rows."""
+    held = piv >= 0
+    free = np.flatnonzero(~held)
+    basis = np.zeros((piv.size, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[held] = (-form[piv[held]][:, free]) % p
+    return FFMatrix._wrap(basis, p)
+
+
+def kernel_bases(mats: Sequence[FFMatrix]) -> list[FFMatrix]:
+    """kernel_basis of each matrix, from zero-padded stacks of _BATCH.
+
+    The matrices share a field and a column count; their row counts may
+    differ, since zero rows leave a kernel unchanged.
+    """
+    if not mats:
+        return []
+    p = _check_same_p(*mats)
+    if len({a.cols for a in mats}) > 1:
+        raise ShapeError(f"kernel stack needs one column count: {sorted({a.cols for a in mats})}")
+    out: list[FFMatrix] = []
+    for lo in range(0, len(mats), _BATCH):
+        stack = _stack_of(mats[lo:lo + _BATCH], p)
+        piv = stack.eliminate()
+        form = stack.reduced()
+        out += [_kernel(form[k], piv[k], p) for k in range(len(piv))]
+    return out
 
 
 def kernel_basis(a: FFMatrix) -> FFMatrix:
@@ -254,24 +377,36 @@ def kernel_basis(a: FFMatrix) -> FFMatrix:
     the result is deterministic.  a @ kernel_basis(a) is always zero and
     k = cols - rank(a).
     """
-    rref, pivots = _echelon(a.data, a.p, reduced=True)
-    free = np.setdiff1d(np.arange(a.cols), pivots)
-    basis = np.zeros((a.cols, free.size), dtype=np.int64)
-    basis[free, np.arange(free.size)] = 1
-    basis[pivots] = (-rref[: len(pivots), free]) % a.p
-    return FFMatrix._wrap(basis, a.p)
+    return kernel_bases([a])[0]
+
+
+def reducing_transform(a: FFMatrix) -> tuple[list[int], FFMatrix]:
+    """Pivot columns of a, and an invertible L with L V = [I ; 0] for V
+    the pivot columns of a, so L a is the reduced row echelon form of a.
+
+    One reduced elimination of [a | I] leaves L' a in its left block and
+    L' in its right one, for an invertible L'.  Each pivot column of L' a
+    is a unit vector, with its one in the row holding the pivot; L is L'
+    with those rows first, in pivot-column order, and the other rows
+    after them.
+    """
+    rows, cols, p = a.rows, a.cols, a.p
+    stack = Stack(1, rows, cols + rows, p)
+    stack[0] = np.hstack([a.data, np.eye(rows, dtype=np.int64)])
+    piv = stack.eliminate()[0, :cols]
+    held = piv[piv >= 0]
+    order = np.concatenate((held, np.setdiff1d(np.arange(rows), held)))
+    return np.flatnonzero(piv >= 0).tolist(), FFMatrix._wrap(stack.reduced(cols)[0][order], p)
 
 
 def mat_inv(a: FFMatrix) -> FFMatrix:
     """Inverse of a square invertible matrix; raises ShapeError otherwise."""
     if a.rows != a.cols:
         raise ShapeError(f"cannot invert non-square matrix {a.shape}")
-    n, p = a.rows, a.p
-    aug = np.hstack([a.data, np.eye(n, dtype=np.int64)])
-    rref, pivots = _echelon(aug, p, reduced=True)
-    if pivots[:n] != list(range(n)):
+    pivots, inverse = reducing_transform(a)
+    if len(pivots) < a.rows:
         raise ShapeError("matrix is singular")
-    return FFMatrix(rref[:, n:], p)
+    return inverse
 
 
 def hstack(a: FFMatrix, b: FFMatrix) -> FFMatrix:

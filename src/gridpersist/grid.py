@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .ffmat import FFMatrix, FieldSpec, ShapeError, block2x2, mat_inv, mat_mul, mat_rank
+from .ffmat import FFMatrix, FieldSpec, ShapeError, block2x2, mat_inv, mat_mul, mat_ranks
+
+# perfbench/tracer.py patches this name on this module; nothing here calls it
+from .ffmat import mat_rank  # noqa: F401
 from .intervals import Interval, Vertex
 
 
@@ -172,10 +175,14 @@ def rank_invariant(
     module: PersistenceModule,
     table: dict[tuple[Vertex, Vertex], FFMatrix] | None = None,
 ) -> dict[tuple[Vertex, Vertex], int]:
-    """rank M(src -> dst) for every comparable pair src <= dst."""
+    """rank M(src -> dst) for every comparable pair src <= dst.
+
+    The path maps are eliminated together as zero-padded stacks.
+    """
     if table is None:
         table = path_map_table(module)
-    return {pair: mat_rank(table[pair]) for pair in module.grid.comparable_pairs()}
+    pairs = list(module.grid.comparable_pairs())
+    return dict(zip(pairs, mat_ranks([table[pair] for pair in pairs])))
 
 
 def dimension_vector(module: PersistenceModule) -> dict[Vertex, int]:
@@ -217,10 +224,11 @@ def conjugate(module: PersistenceModule, bases: Mapping[Vertex, FFMatrix]) -> Pe
         basis = bases.get(v, FFMatrix.identity(d, module.field.p))
         if basis.shape != (d, d):
             raise ShapeError(f"basis at {v} must be {d} x {d}, got {basis.shape}")
-        if mat_rank(basis) != d:
-            raise ShapeError(f"basis at {v} is singular")
+        try:
+            inv[v] = mat_inv(basis)
+        except ShapeError:
+            raise ShapeError(f"basis at {v} is singular") from None
         full[v] = basis
-        inv[v] = mat_inv(basis)
     hmaps = {
         v: mat_mul(full[(v[0], v[1] + 1)], mat_mul(module.hmaps[v], inv[v]))
         for v in g.harrows()

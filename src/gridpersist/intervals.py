@@ -16,7 +16,7 @@ are taken over cover sets above a fixed interval.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -36,6 +36,9 @@ class Interval:
     s: int
     t: int
     rows: tuple[tuple[int, int], ...]
+    # intervals key the dicts of every interval function, so the hash of
+    # the field tuple is computed once, not on every lookup
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.s < 1 or self.t < self.s:
@@ -50,6 +53,10 @@ class Interval:
                 raise ValueError(
                     f"rows [{b_lo},{d_lo}] and [{b_hi},{d_hi}] violate the staircase condition"
                 )
+        object.__setattr__(self, "_hash", hash((self.s, self.t, self.rows)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def span(self, i: int) -> tuple[int, int]:
         """Column span (b_i, d_i) of row i; the row must belong to s..t."""

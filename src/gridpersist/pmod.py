@@ -15,8 +15,9 @@ A PMOD document:
 '#' starts a comment, blank lines are ignored.  Exactly the arrows
 whose domain and codomain are both nonzero-dimensional carry a map
 block; all other arrows are zero maps of forced shape and must be
-omitted.  Entries are residues in [0, p).  Documents describing a
-non-commuting family of matrices are rejected.
+omitted.  Entries are residues in [0, p).  A dimension is at most
+MAX_DIM.  Documents describing a non-commuting family of matrices are
+rejected.
 """
 
 from __future__ import annotations
@@ -43,6 +44,12 @@ def _logical_lines(text: str):
         if body:
             yield lineno, body
 
+
+# Largest dimension a document may give a vertex.  Validation and the
+# path-map table build k x k matrices for a vertex of dimension k even
+# when no map block touches it, so without a bound a short document
+# could make the parser allocate without limit.
+MAX_DIM = 1024
 
 # a row of ASCII integers; checked once per row, not once per entry
 _ENTRY_ROW = re.compile(r"-?[0-9]+( -?[0-9]+)*")
@@ -109,6 +116,8 @@ def parse_pmod(text: str) -> PersistenceModule:
                 raise PmodError(f"vertex ({i}, {j}) outside the {grid.m} x {grid.n} grid", lineno)
             if (i, j) in dims:
                 raise PmodError(f"duplicate dimension for vertex ({i}, {j})", lineno)
+            if k > MAX_DIM:
+                raise PmodError(f"dimension {k} exceeds the bound {MAX_DIM}", lineno)
             dims[(i, j)] = k
         elif words[0] == "map":
             if len(words) != 4 or words[1] not in ("h", "v") or not all(map(_is_natural, words[2:])):
@@ -194,8 +203,8 @@ def print_pmod(module: PersistenceModule) -> str:
             if mat.rows == 0 or mat.cols == 0:
                 continue
             out.write(f"map {kind} {v[0]} {v[1]}\n")
-            for row in mat.data:
-                out.write(" ".join(str(int(x)) for x in row) + "\n")
+            for row in mat.data.tolist():
+                out.write(" ".join(map(str, row)) + "\n")
 
     emit("h", g.harrows(), module.hmaps)
     emit("v", g.varrows(), module.vmaps)

@@ -6,7 +6,10 @@ with no shared code with the package, so agreement is meaningful.
 
 from __future__ import annotations
 
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from gridpersist.compression import (
     ARROW,
@@ -14,15 +17,14 @@ from gridpersist.compression import (
     POINT,
     TWO_SOURCES_ONE_SINK,
     TWO_SOURCES_TWO_SINKS,
-    QuiverRep,
-    almost_split_fixtures,
+    SsShape,
     classify_ss,
-    hom_dim,
-    ss_interval_rep,
-    ss_restrict,
 )
-from gridpersist.ffmat import FFMatrix, block2x2, hstack, vstack
+from gridpersist.ffmat import FFMatrix, ShapeError, block2x2, hstack, mat_rank, vstack
+from gridpersist.grid import PersistenceModule
 from gridpersist.intervals import Interval, Vertex, cover_subset_joins, enumerate_intervals, leq
+
+PathTable = dict[tuple[Vertex, Vertex], FFMatrix]
 
 
 def naive_rank(rows: list[list[int]], p: int) -> int:
@@ -170,6 +172,176 @@ def block_multiplicity(table, I: Interval) -> int:
         return rank(b) + rank(c) - rank(vstack(b, c))
     a = table[(shape.s2, shape.t2)]
     return rank(block2x2(a, b, None, c)) + rank(b) - rank(vstack(b, c)) - rank(hstack(a, b))
+
+
+# --- quiver restriction and the Hom-dimension oracle -------------------
+
+@dataclass(frozen=True)
+class QuiverRep:
+    """A representation of a finite quiver over GF(p).
+
+    Vertices are indexed 0..len(dims)-1, arrows[k] = (src, dst) carries
+    the matrix mats[k] of shape dims[dst] x dims[src].  labels
+    optionally remembers originating grid vertices.
+    """
+
+    p: int
+    dims: tuple[int, ...]
+    arrows: tuple[tuple[int, int], ...]
+    mats: tuple[FFMatrix, ...]
+    labels: tuple[Vertex, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if len(self.mats) != len(self.arrows):
+            raise ShapeError("arrows and matrices must be parallel")
+        for (src, dst), mat in zip(self.arrows, self.mats):
+            want = (self.dims[dst], self.dims[src])
+            if mat.shape != want or mat.p != self.p:
+                raise ShapeError(f"arrow {src}->{dst} must be {want} over GF({self.p})")
+
+
+def restrict(
+    module: PersistenceModule,
+    table: PathTable,
+    E: Sequence[Vertex],
+    arrows: Sequence[tuple[Vertex, Vertex]],
+) -> QuiverRep:
+    """Restriction of a module to chosen vertices and path maps.
+
+    E lists grid vertices; arrows lists comparable grid vertex pairs
+    with both endpoints in E.  The arrow matrices are the composed path
+    maps from the table, so the result is the compression of the module
+    along that subquiver.
+    """
+    index = {v: k for k, v in enumerate(E)}
+    if len(index) != len(E):
+        raise ValueError("duplicate vertices in restriction")
+    pairs = []
+    for src, dst in arrows:
+        if src not in index or dst not in index:
+            raise ValueError(f"arrow {src}->{dst} leaves the restriction vertex set")
+        if not (src[0] <= dst[0] and src[1] <= dst[1]):
+            raise ValueError(f"arrow {src}->{dst} is not order-increasing")
+        pairs.append((index[src], index[dst]))
+    return QuiverRep(
+        p=module.field.p,
+        dims=tuple(module.dims[v] for v in E),
+        arrows=tuple(pairs),
+        mats=tuple(table[(src, dst)] for src, dst in arrows),
+        labels=tuple(E),
+    )
+
+
+def hom_dim(A: QuiverRep, B: QuiverRep) -> int:
+    """dim Hom(A, B) for representations of the same quiver.
+
+    A morphism is a family f_v : A(v) -> B(v) with
+    f_dst A(alpha) = B(alpha) f_src for every arrow.  The constraints
+    are assembled as one linear system via Kronecker products and the
+    dimension is unknowns minus rank.
+    """
+    if A.arrows != B.arrows or len(A.dims) != len(B.dims):
+        raise ShapeError("hom_dim needs representations of the same quiver")
+    if A.p != B.p:
+        raise ShapeError("modulus mismatch")
+    p = A.p
+    sizes = [B.dims[v] * A.dims[v] for v in range(len(A.dims))]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    total = int(offsets[-1])
+    rows = []
+    for (src, dst), amat, bmat in zip(A.arrows, (m.data for m in A.mats), (m.data for m in B.mats)):
+        height = A.dims[src] * B.dims[dst]
+        if height == 0:
+            continue
+        block = np.zeros((height, total), dtype=np.int64)
+        # vec is column-stacked: vec(f_dst A) = (A^T kron I) vec(f_dst)
+        # and vec(B f_src) = (I kron B) vec(f_src).
+        block[:, offsets[dst]:offsets[dst + 1]] = np.kron(amat.T, np.eye(B.dims[dst], dtype=np.int64))
+        block[:, offsets[src]:offsets[src + 1]] -= np.kron(np.eye(A.dims[src], dtype=np.int64), bmat)
+        rows.append(block % p)
+    if not rows:
+        return total
+    system = FFMatrix(np.vstack(rows), p)
+    return total - mat_rank(system)
+
+
+# --- fixed small representations for the oracle route ------------------
+
+_SS_ARROWS = {
+    POINT: (),
+    ARROW: ((0, 1),),
+    TWO_SOURCES_ONE_SINK: ((0, 2), (1, 2)),  # vertices [s1, s2, t2]
+    ONE_SOURCE_TWO_SINKS: ((0, 1), (0, 2)),  # vertices [s1, t1, t2]
+    TWO_SOURCES_TWO_SINKS: ((1, 3), (0, 3), (0, 2)),  # vertices [s1, s2, t1, t2]
+}
+
+
+def ss_quiver_vertices(shape: SsShape) -> tuple[Vertex, ...]:
+    """Grid vertices of the compression quiver, in the fixed order used
+    throughout this module."""
+    if shape.kind in (POINT,):
+        return (shape.src,)
+    if shape.kind == ARROW:
+        return (shape.src, shape.dst)
+    if shape.kind == TWO_SOURCES_ONE_SINK:
+        return (shape.s1, shape.s2, shape.t2)
+    if shape.kind == ONE_SOURCE_TWO_SINKS:
+        return (shape.s1, shape.t1, shape.t2)
+    return (shape.s1, shape.s2, shape.t1, shape.t2)
+
+
+def ss_restrict(module: PersistenceModule, table: PathTable, I: Interval) -> QuiverRep:
+    """Compression of the module along the source-sink quiver of I."""
+    shape = classify_ss(I)
+    verts = ss_quiver_vertices(shape)
+    arrows = [(verts[a], verts[b]) for a, b in _SS_ARROWS[shape.kind]]
+    return restrict(module, table, verts, arrows)
+
+
+def ss_interval_rep(shape: SsShape, p: int) -> QuiverRep:
+    """The compressed interval module: one-dimensional with identities."""
+    arrows = _SS_ARROWS[shape.kind]
+    nverts = len(ss_quiver_vertices(shape))
+    one = FFMatrix.identity(1, p)
+    return QuiverRep(p=p, dims=(1,) * nverts, arrows=arrows, mats=(one,) * len(arrows))
+
+
+def almost_split_fixtures(shape: SsShape, p: int) -> tuple[QuiverRep, QuiverRep]:
+    """The middle and end terms (B, C) of the almost split sequence
+    starting at the compressed interval module of a two-sources,
+    two-sinks interval.
+
+    On the quiver s2 -> t2 <- s1 -> t1, B has dimension vector
+    (s1: 2, s2: 1, t1: 1, t2: 1) with arrow matrices [1] to t2 from s2,
+    the projection [1 0] from s1 to t2 and [0 1] from s1 to t1; C is the
+    simple at s1.  Multiplicity satisfies
+    hom(I', M') - hom(B, M') + hom(C, M').
+    """
+    if shape.kind != TWO_SOURCES_TWO_SINKS:
+        raise ValueError(f"almost split fixtures are defined for {TWO_SOURCES_TWO_SINKS} only")
+    arrows = _SS_ARROWS[TWO_SOURCES_TWO_SINKS]
+    # vertex order [s1, s2, t1, t2]
+    b = QuiverRep(
+        p=p,
+        dims=(2, 1, 1, 1),
+        arrows=arrows,
+        mats=(
+            FFMatrix([[1]], p),        # s2 -> t2
+            FFMatrix([[1, 0]], p),     # s1 -> t2
+            FFMatrix([[0, 1]], p),     # s1 -> t1
+        ),
+    )
+    c = QuiverRep(
+        p=p,
+        dims=(1, 0, 0, 0),
+        arrows=arrows,
+        mats=(
+            FFMatrix.zeros(0, 0, p),
+            FFMatrix.zeros(0, 1, p),
+            FFMatrix.zeros(0, 1, p),
+        ),
+    )
+    return b, c
 
 
 def hom_multiplicity(module, table, I: Interval) -> int:

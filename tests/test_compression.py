@@ -2,25 +2,22 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridpersist import compression
 from gridpersist.compression import (
     ARROW,
     ONE_SOURCE_TWO_SINKS,
     POINT,
     TWO_SOURCES_ONE_SINK,
     TWO_SOURCES_TWO_SINKS,
-    QuiverRep,
-    almost_split_fixtures,
     classify_ss,
     compressed_multiplicity_function,
-    hom_dim,
-    restrict,
-    ss_interval_rep,
-    ss_quiver_vertices,
-    ss_restrict,
 )
-from gridpersist.ffmat import GF2, FFMatrix, FieldSpec, ShapeError
+from gridpersist.ffmat import GF2, FFMatrix, FieldSpec, ShapeError, hstack, mat_mul, reducing_transform
 from gridpersist.generators import (
     example_module,
     make_rng,
@@ -36,7 +33,18 @@ from gridpersist.grid import (
     rank_invariant,
 )
 from gridpersist.intervals import Interval, enumerate_intervals, leq
-from oracles import block_multiplicity, hom_multiplicity, zeta_act
+from oracles import (
+    QuiverRep,
+    almost_split_fixtures,
+    block_multiplicity,
+    hom_dim,
+    hom_multiplicity,
+    naive_rank,
+    restrict,
+    ss_interval_rep,
+    ss_restrict,
+    zeta_act,
+)
 
 iv = Interval.from_string
 
@@ -160,6 +168,37 @@ class TestAgainstBlockForms:
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_staircase_family(self, l):
         assert_matches_block_forms(staircase_family_module(l, FieldSpec(3)))
+
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    def test_suffix_stacks_split_anywhere(self, batch, monkeypatch):
+        rng = make_rng(600)
+        modules = [random_module(5, 3, FieldSpec(p), rng) for p in (2, 3, 65521)]
+        whole = [compressed_multiplicity_function(m) for m in modules]
+        monkeypatch.setattr(compression, "_BATCH", batch)
+        assert [compressed_multiplicity_function(m) for m in modules] == whole
+
+
+class TestCoordinateChange:
+    """rank [x | V_c] = c + rank((L x)[c:]) for V the pivot columns of the
+    images and L from one elimination of [images | I]."""
+
+    @given(st.sampled_from([2, 3, 65521]), st.integers(0, 6), st.integers(0, 6),
+           st.integers(0, 12), st.integers(0, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_suffix_rank_identity(self, p, d, rank, width, w, seed):
+        rng = np.random.default_rng(seed)
+        # low rank, so the pivot rows are not simply the first rows
+        rank = min(rank, d, width)
+        images = (rng.integers(0, p, size=(d, rank)) @ rng.integers(0, p, size=(rank, width))) % p
+        x = FFMatrix(rng.integers(0, p, size=(d, w)), p)
+        pivots, lmat = reducing_transform(FFMatrix(images, p))
+        assert lmat.shape == (d, d) and naive_rank(lmat.tolist(), p) == d
+        assert len(pivots) == naive_rank(images.tolist(), p)
+        v = FFMatrix(images[:, pivots], p)
+        y = mat_mul(lmat, x).tolist()
+        for c in range(len(pivots) + 1):
+            lhs = naive_rank(hstack(x, FFMatrix(v.data[:, :c], p)).tolist(), p)
+            assert lhs == c + naive_rank(y[c:], p)
 
 
 class TestStructuralProperties:

@@ -15,14 +15,17 @@ from gridpersist.ffmat import (
     FFMatrix,
     FieldSpec,
     ShapeError,
-    _echelon_gf2,
+    Stack,
     _echelon_gfp,
+    _kernel,
     block2x2,
     hstack,
     kernel_basis,
+    kernel_bases,
     mat_inv,
     mat_mul,
     mat_rank,
+    mat_ranks,
     pivot_columns,
     pullback_basis,
     random_invertible,
@@ -36,6 +39,31 @@ PRIMES = [2, 3, 5, 251]
 
 def rand_mat(rng, rows, cols, p):
     return FFMatrix(rng.integers(0, p, size=(rows, cols)), p)
+
+
+def packed_pivots(arr):
+    """Pivot rows of one 0/1 matrix by the bit-packed GF(2) core."""
+    stack = Stack(1, *arr.shape, 2)
+    stack[0] = arr
+    return stack.eliminate()[0].tolist()
+
+
+def generic_reduced(arr, p):
+    """Pivot rows and reduced form of one matrix by the generic core, any p."""
+    a = np.asarray(arr, dtype=np.uint32)[None].copy()
+    piv = _echelon_gfp(a, p)[0]
+    return piv, a[0].astype(np.int64)
+
+
+def generic_kernel(a):
+    piv, form = generic_reduced(a.data, a.p)
+    return _kernel(form, piv, a.p)
+
+
+def generic_inverse(a):
+    n = a.rows
+    piv, form = generic_reduced(np.hstack([a.data, np.eye(n, dtype=np.int64)]), a.p)
+    return FFMatrix(form[piv[:n], n:], a.p)
 
 
 matrices = st.tuples(
@@ -74,7 +102,7 @@ class TestRank:
             rows = int(rng.integers(0, 65))
             cols = int(rng.integers(0, 65))
             arr = rng.integers(0, 2, size=(rows, cols))
-            assert _echelon_gf2(arr, False)[1] == _echelon_gfp(arr, 2, False)[1]
+            assert packed_pivots(arr) == generic_reduced(arr, 2)[0].tolist()
 
     def test_zero_dimensional(self):
         assert mat_rank(FFMatrix.zeros(0, 5, 3)) == 0
@@ -89,7 +117,7 @@ class TestRank:
         rng = np.random.default_rng(5)
         for cols in (63, 64, 65, 128, 129):
             arr = rng.integers(0, 2, size=(20, cols))
-            assert len(_echelon_gf2(arr, False)[1]) == naive_rank(arr.tolist(), 2)
+            assert sum(r >= 0 for r in packed_pivots(arr)) == naive_rank(arr.tolist(), 2)
 
 
 class TestPivotPrefix:
@@ -129,6 +157,58 @@ class TestPivotPrefix:
         body = a.tolist()
         for c in range(a.cols + 1):
             assert bisect_left(pivots, c) == naive_rank([r[:c] for r in body], a.p)
+
+
+class TestStack:
+    """Members of any shape share one elimination and keep their own results."""
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    @pytest.mark.parametrize("cols", [63, 64, 65, 128, 129])
+    def test_mixed_shapes_match_lone_and_naive(self, p, cols):
+        rng = np.random.default_rng([p, cols])
+        mats = [FFMatrix.zeros(0, cols, p), FFMatrix.zeros(5, 0, p), FFMatrix.zeros(0, 0, p)]
+        for rows in (1, 7, 20):
+            for width in (cols, cols - 1, 1 + int(rng.integers(cols))):
+                rank = int(rng.integers(0, min(rows, width) + 1))
+                mats.append(mat_mul(rand_mat(rng, rows, rank, p), rand_mat(rng, rank, width, p)))
+        mats = [mats[k] for k in rng.permutation(len(mats))]
+        # padded beyond every member in both directions
+        stack = Stack(len(mats), 23, cols + 3, p)
+        for k, a in enumerate(mats):
+            stack[k] = a.data
+        piv = stack.eliminate()
+        for k, a in enumerate(mats):
+            pivots = np.flatnonzero(piv[k] >= 0).tolist()
+            assert pivots == pivot_columns(a)
+            assert len(pivots) == naive_rank(a.tolist(), p)
+            assert piv[k].max(initial=-1) < a.rows
+        assert mat_ranks(mats) == [len(pivot_columns(a)) for a in mats]
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    def test_kernel_bases_match_lone(self, p):
+        rng = np.random.default_rng(p)
+        mats = [FFMatrix.zeros(0, 70, p)]
+        for rows in (1, 4, 9, 30):
+            rank = int(rng.integers(0, rows + 1))
+            mats.append(mat_mul(rand_mat(rng, rows, rank, p), rand_mat(rng, rank, 70, p)))
+        bases = kernel_bases(mats)
+        assert bases == [kernel_basis(a) for a in mats]
+        for a, k in zip(mats, bases):
+            assert k.cols == 70 - naive_rank(a.tolist(), p)
+            assert mat_mul(a, k) == FFMatrix.zeros(a.rows, k.cols, p)
+
+    def test_kernel_bases_need_one_column_count(self):
+        with pytest.raises(ShapeError):
+            kernel_bases([FFMatrix.zeros(2, 3, 2), FFMatrix.zeros(2, 4, 2)])
+
+    @pytest.mark.parametrize("p", [2, 65521])
+    def test_batches_split_anywhere(self, p, monkeypatch):
+        rng = np.random.default_rng(p + 1)
+        mats = [rand_mat(rng, int(rng.integers(0, 6)), 9, p) for _ in range(11)]
+        whole = (mat_ranks(mats), kernel_bases(mats))
+        monkeypatch.setattr(ffmat, "_BATCH", 4)
+        assert (mat_ranks(mats), kernel_bases(mats)) == whole
+        assert whole[0] == [naive_rank(a.tolist(), p) for a in mats]
 
 
 class TestMul:
@@ -177,7 +257,7 @@ class TestKernel:
         k = kernel_basis(FFMatrix.zeros(3, 5, 2))
         assert k.cols == 5 and mat_rank(k) == 5
 
-    def test_gf2_packed_kernel_and_inverse_equal_generic(self, monkeypatch):
+    def test_gf2_packed_kernel_and_inverse_equal_generic(self):
         # column counts straddling the 64-bit word boundary; the generators
         # draw from these results, so the two cores must agree exactly
         rng = np.random.default_rng(7)
@@ -186,8 +266,7 @@ class TestKernel:
             low_rank = mat_mul(rand_mat(rng, 30, 12, 2), rand_mat(rng, 12, cols, 2))
             cases.append((rand_mat(rng, 40, cols, 2), low_rank, random_invertible(cols, GF2, rng)))
         packed = [(kernel_basis(a), kernel_basis(b), mat_inv(c)) for a, b, c in cases]
-        monkeypatch.setattr(ffmat, "_echelon_gf2", lambda arr, reduced: _echelon_gfp(arr, 2, reduced))
-        generic = [(kernel_basis(a), kernel_basis(b), mat_inv(c)) for a, b, c in cases]
+        generic = [(generic_kernel(a), generic_kernel(b), generic_inverse(c)) for a, b, c in cases]
         assert packed == generic
 
 

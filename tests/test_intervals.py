@@ -79,6 +79,17 @@ class TestIntervalType:
             rectangle_from((2, 2), (1, 3))
 
 
+    def test_order_equality_and_hash_follow_the_field_tuple(self):
+        intervals = enumerate_intervals(2, 4) + enumerate_intervals(3, 3)
+        key = {I: (I.s, I.t, I.rows) for I in intervals}
+        for I, J in itertools.product(intervals, repeat=2):
+            assert (I < J) == (key[I] < key[J])
+            assert (I == J) == (key[I] == key[J])
+        for I in intervals:
+            twin = Interval(I.s, I.t, I.rows)
+            assert hash(I) == hash(twin) == hash(key[I])
+
+
 class TestEnumeration:
     def test_closed_form_count_2xn(self):
         for n in range(1, 9):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -13,7 +14,14 @@ from gridpersist.ffmat import FieldSpec
 from gridpersist.generators import example_module, make_rng, random_module, staircase_family_module
 from gridpersist.grid import Grid, PersistenceModule, rank_invariant
 from gridpersist.intervals import Interval
-from gridpersist.pmod import PmodError, format_interval_function, format_signed_sum, parse_pmod, print_pmod
+from gridpersist.pmod import (
+    MAX_DIM,
+    PmodError,
+    format_interval_function,
+    format_signed_sum,
+    parse_pmod,
+    print_pmod,
+)
 
 iv = Interval.from_string
 
@@ -224,6 +232,25 @@ class TestBounds:
         with _vertex_walk_limit(2), pytest.raises(PmodError, match="outside") as err:
             parse_pmod(doc)
         assert err.value.line == 4
+
+    def test_huge_dimension_fails_at_once_and_allocates_nothing(self):
+        # two corners of dimension K and no map blocks: unbounded, validation
+        # and the path-map table would build K x K matrices
+        doc = ("PMOD 1\nfield 2\ngrid 2 2\ndim 1 1 100000\ndim 1 2 0\n"
+               "dim 2 1 0\ndim 2 2 100000\nEND\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(PmodError, match="exceeds the bound") as err:
+                parse_pmod(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.line == 4
+        assert peak < 1 << 20
+
+    def test_dimension_at_the_bound_is_accepted(self):
+        doc = f"PMOD 1\nfield 2\ngrid 1 1\ndim 1 1 {MAX_DIM}\nEND\n"
+        assert parse_pmod(doc).dims == {(1, 1): MAX_DIM}
 
     @given(_DOCUMENTS)
     @settings(max_examples=400, deadline=None)
