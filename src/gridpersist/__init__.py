@@ -2,6 +2,11 @@
 persistence modules over equioriented commutative 2 x n grids, with exact
 linear algebra over prime fields."""
 
+import os
+# One BLAS thread, as for the rest of the pipeline, unless numpy is loaded or the
+# caller chose: threaded OpenBLAS products left a worker spinning for about 0.1 s.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .approximation import (
     SignedIntervalSum,
     dimvec_of_sum,

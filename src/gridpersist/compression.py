@@ -30,52 +30,52 @@ with rank [B ; C] = rank C + rank W and
 rank [[A, B], [0, C]] = rank C + rank [A | W], so every matrix
 eliminated has the rows of a single vertex space.
 
-The ranks are grouped, and the grouping is exact:
+Every rank these need comes from one narrow elimination per grid column
+and one per sink of row 2, by three exact identities:
 
-* Nested images.  For a sink t = (i, j) and b < j,
-  im M((i, b) -> t) is inside im M((i, b + 1) -> t), since the first map
-  factors through the second.  So one echelon form of
-  [M((i, 1) -> t) | ... | M((i, j) -> t)] has r_b pivots in its first b
-  blocks, r_b = rank M((i, b) -> t), and the first r_b of its pivot
-  columns V_t span im M((i, b) -> t).  So rank [A | x] = rank [V_c | x]
-  with c = r_b for A = M((2, b) -> t).
-* One change of coordinates per sink.  For a sink t on row 2 the same
-  elimination, run on [images | I], also gives an invertible L with
-  L V_t = [I ; 0]: the reduced form makes each pivot column a unit
-  vector, and L lists the rows holding pivots first, in pivot-column
-  order.  An invertible L keeps ranks, and L V_c is the first c unit
-  vectors, so for every x
+* Image chain.  For a sink t = (i, j), f = M((i, j - 1) -> t) and b < j,
+  M((i, b) -> t) = f M((i, b) -> (i, j - 1)).  If the first r_b columns
+  of a basis V of the previous sink span im M((i, b) -> (i, j - 1)), then
+  f V[:, :r_b] spans im M((i, b) -> t).  A column of an echelon form
+  holds a pivot exactly when it is outside the span of the columns before
+  it, so X = [f V | I] has rank M((i, b) -> t) pivots among its first
+  r_b columns, and its pivot columns, in order, are a basis V_t of the
+  same kind for t: the images are nested, and I completes them.  On
+  row 2 the reduced form of X makes each pivot column a unit vector with
+  its one in the pivot row, so the reduced I block, pivot rows first in
+  pivot-column order, is an invertible L with L V_t = I.  With V_c the
+  first c columns of V_t, for every x
 
       rank [V_c | x] = rank [L V_c | L x] = c + rank((L x)[c:]).
 
-  Without that row order L V_c would be c unit vectors in scattered
-  rows, and the identity would fail.
-* Suffix ranks in one elimination.  The echelon cores scan columns left
-  to right, so the pivots among the first k columns of a matrix number
-  the rank of those columns.  L x with its rows reversed, then
-  transposed, has the rows of (L x)[c:] as its first d - c columns, so
-  its pivots give rank((L x)[c:]) for every c at once.  Every B and
-  every W = B ker C of a sink t is a member of one zero-padded stack
-  (split only past _BATCH members), so one elimination gives rank B,
-  rank W, rank [A | B] and rank [A | W] for all the intervals with
-  sink t.
+* Rank profile.  Both echelon cores pivot on the topmost free row with a
+  nonzero and change a row only by multiples of pivot rows.  A free row
+  above the pivot row is zero in its column and takes nothing from it,
+  so the first r rows take the pivots they would take alone, and
+  rank Y[:r, :m] is the number of columns c < m whose pivot row is
+  above r.
+* No kernels.  Take s = (1, j), t = (2, j), V1 the basis of s,
+  U = L M(s -> t) V1, H = M(s -> t1) V1, c = rank A and
+  c1 = rank M(s1 -> s), so V1[:, :c1] spans im M(s1 -> s).  B has the
+  image of M(s -> t) V1[:, :c1], so rank [A | B] = c + rank U[c:, :c1].
+  W = B ker C has the image of M(s -> t) V1[:, :c1] ker H[:, :c1], and
+  rank Y ker H = rank [H ; Y] - rank H, so rank [A | W] is
+  c + rank [H ; U[c:]][:, :c1] - rank H[:, :c1].
 
-The kernels of M(s1 -> t1) for one source s1 come from one stack too,
-rows zero-padded.  So a 2 x n module takes one elimination per sink,
-one suffix stack per sink of row 2 and one kernel stack per source of
-row 1; V never enters an elimination again.
+With rev(U) the rows of U reversed, the rank profiles of rev(U) and of
+[H ; rev(U)] for each t1 = (1, d1), d1 > j, give every pair and triple
+value of the sink t.  So a 2 x n module takes n image eliminations, each
+a stack of the X of both rows, and n profile stacks, split only past
+_BATCH members.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Iterator
 
 import numpy as np
 
-from .ffmat import FFMatrix, Stack, kernel_bases, mat_mul, pivot_columns, reducing_transform
+from .ffmat import FFMatrix, Stack, mat_mul
 from .grid import PersistenceModule, path_map_table
 from .intervals import Interval, Vertex, enumerate_intervals
 
@@ -135,29 +135,16 @@ def classify_ss(I: Interval) -> SsShape:
     )
 
 
-# members per suffix-rank stack; bounds the scratch of one elimination
+# members per profile stack; bounds the scratch of one elimination
 _BATCH = 64
 
 
-def _suffix_ranks(members: Iterator[tuple[object, FFMatrix]], count: int, width: int, d: int, p: int):
-    """Yield (tag, s) for each of the count pairs (tag, y) of members,
-    y a d x w matrix with w <= width, where s[k] = rank y[d - k:].
-
-    y with its rows reversed, then transposed, has the rows y[d - k:] as
-    its first k columns, so one elimination of a stack of such members
-    gives every s at once.  A stack holds at most _BATCH members, and
-    each y is dropped once it is stacked.
-    """
-    for lo in range(0, count, _BATCH):
-        size = min(_BATCH, count - lo)
-        stack = Stack(size, width, d, p)
-        tags = []
-        for k, (tag, y) in zip(range(size), members):
-            stack[k] = y.data[::-1].T
-            tags.append(tag)
-        s = np.zeros((size, d + 1), dtype=np.int64)
-        np.cumsum(stack.eliminate() >= 0, axis=1, out=s[:, 1:])
-        yield from zip(tags, s.tolist())
+def _profile(piv: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """counts[k, m] = rank Y[:rows[k], :m] for m = 0..cols, from the pivot
+    rows piv (-1 for none) of one member Y of an eliminated stack."""
+    counts = np.zeros((len(rows), len(piv) + 1), dtype=np.int32)
+    np.cumsum((piv >= 0) & (piv < rows[:, None]), axis=1, dtype=np.int32, out=counts[:, 1:])
+    return counts
 
 
 class _GroupedRanks:
@@ -175,42 +162,62 @@ class _GroupedRanks:
         self.rect: dict[Vertex, list[int]] = {}
         self.pair: dict[tuple[Vertex, Vertex], list[int]] = {}
         self.triple: dict[tuple[Vertex, Vertex, Vertex], list[int]] = {}
-        kernels: dict[tuple[Vertex, Vertex], FFMatrix] = {}
-        for t in g.vertices():
-            i, j = t
-            images = FFMatrix._wrap(np.hstack([table[((i, b), t)].data for b in range(1, j + 1)]), p)
-            if i == 1:
-                pivots = pivot_columns(images)
-            else:
-                pivots, lmat = reducing_transform(images)
-            ends = accumulate((dims[(i, b)] for b in range(1, j + 1)), initial=0)
-            rect = self.rect[t] = [bisect_left(pivots, e) for e in ends]
-            if i == 1:
-                continue
-            if j < g.n:
-                s1 = (1, j)
-                targets = [(1, d1) for d1 in range(j + 1, g.n + 1)]
-                bases = kernel_bases([table[(s1, t1)] for t1 in targets])
-                kernels.update(((s1, t1), k) for t1, k in zip(targets, bases))
+        # per row, the basis V of the previous sink
+        bases = {i: FFMatrix.zeros(0, 0, p) for i in range(1, g.m + 1)}
+        for j in range(1, g.n + 1):
+            sinks = [(i, j) for i in bases]
+            images = [
+                mat_mul(table[((i, j - 1), t)], bases[i]).data if j > 1
+                else np.zeros((dims[t], 0), dtype=np.int64)
+                for i, t in zip(bases, sinks)
+            ]
+            widths = [fv.shape[1] + dims[t] for fv, t in zip(images, sinks)]
+            stack = Stack(len(sinks), max(dims[t] for t in sinks), max(widths), p)
+            for k, (fv, t) in enumerate(zip(images, sinks)):
+                stack[k] = np.hstack([fv, np.eye(dims[t], dtype=np.int64)])
+            piv = stack.eliminate()
+            for i, t, fv, w in zip(bases, sinks, images, widths):
+                held = piv[i - 1, :w] >= 0
+                w0 = fv.shape[1]
+                prefix = np.concatenate(([0], np.cumsum(held[:w0])))
+                self.rect[t] = prefix[self.rect.get((i, j - 1), [0])].tolist() + [dims[t]]
+                unit = np.eye(dims[t], dtype=np.int64)[:, held[w0:]]
+                bases[i] = FFMatrix._wrap(np.hstack([fv[:, held[:w0]], unit]), p)
+            if g.m == 2:
+                # the reduced I block of the row-2 member, pivot rows first,
+                # is the L with L V = [I ; 0]
+                lmat = stack.reduced(images[1].shape[1])[1][piv[1][piv[1] >= 0], :dims[(2, j)]]
+                self._sink_ranks(module, table, j, FFMatrix._wrap(lmat, p), bases[1])
 
-            def members():
-                # L B and L W for every B = M(s1 -> t) and W = B ker C of sink t
-                for b1 in range(1, j + 1):
-                    lb = mat_mul(lmat, table[((1, b1), t)])
-                    yield (self.pair, ((1, b1), t), b1), lb
-                    for d1 in range(j + 1, g.n + 1):
-                        key = ((1, b1), (1, d1), t)
-                        yield (self.triple, key, b1), mat_mul(lb, kernels[key[:2]])
+    def _sink_ranks(self, module: PersistenceModule, table: PathTable, j: int, lmat: FFMatrix, v1: FFMatrix):
+        """pair and triple of the sink t = (2, j), from one profile stack.
 
-            # a W = B ker C has at most as many columns as its B
-            width = max(dims[(1, b1)] for b1 in range(1, j + 1))
-            d = dims[t]
-            for (out, key, b1), s in _suffix_ranks(members(), j * (g.n - j + 1), width, d, p):
-                # rank [V_c | x] = c + rank((L x)[c:])
-                out[key] = [c + s[d - c] for c in rect[:b1]]
-            # sinks further right on row 2 need no kernel of a map ending at (1, j + 1)
-            for b1 in range(1, j + 1):
-                kernels.pop(((1, b1), (1, j + 1)), None)
+        lmat is the L of t and v1 the basis V of s = (1, j).  With
+        U = L M(s -> t) V1 and H = M(s -> (1, d1)) V1, the members are
+        rev(U) and [H ; rev(U)] for each d1 > j.
+        """
+        g, p, dims = module.grid, module.field.p, module.dims
+        s, t = (1, j), (2, j)
+        rev = mat_mul(lmat, mat_mul(table[(s, t)], v1)).data[::-1]
+        ends = range(j + 1, g.n + 1)
+        members = [rev] + [np.vstack([mat_mul(table[(s, (1, d1))], v1).data, rev]) for d1 in ends]
+        heights = [0] + [dims[(1, d1)] for d1 in ends]
+        c = np.array(self.rect[t][:j])
+        c1 = self.rect[s][1:]
+        for lo in range(0, len(members), _BATCH):
+            stack = Stack(min(_BATCH, len(members) - lo), dims[t] + max(heights[lo:lo + _BATCH]), dims[s], p)
+            for k, y in enumerate(members[lo:lo + _BATCH]):
+                stack[k] = y
+            for k, piv in enumerate(stack.eliminate(), lo):
+                h = heights[k]
+                counts = _profile(piv, np.concatenate(([h], h + dims[t] - c)))
+                # c + rank [H ; U[c:]][:, :c1] - rank H[:, :c1], H empty for B;
+                # row b1 - 1 holds the values of s1 = (1, b1)
+                rows = (c[:, None] + counts[1:, c1] - counts[0, c1]).T.tolist()
+                if k == 0:
+                    self.pair.update((((1, b1), t), r[:b1]) for b1, r in enumerate(rows, 1))
+                else:
+                    self.triple.update((((1, b1), (1, j + k), t), r[:b1]) for b1, r in enumerate(rows, 1))
 
     def value(self, I: Interval) -> int:
         shape = classify_ss(I)

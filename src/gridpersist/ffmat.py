@@ -17,6 +17,18 @@ rows are packed into 64-bit words and eliminated with XOR; for other p
 entries are uint32 and pivot rows are scaled by a table of inverses.
 The single-matrix functions pass a stack of one; mat_ranks and
 kernel_bases stack many matrices at a time.
+
+The pivot rows give the rank profile of every member Y (Dumas, Pernet
+& Sultan, J. Symbolic Comput. 2017):
+
+    rank Y[:r, :m] = #{c < m : 0 <= piv[c] < r}   for every r and m.
+
+A core pivots on the topmost free row with a nonzero in the column and
+changes rows only by adding multiples of the pivot row.  The free rows
+above the pivot row are zero in its column and take nothing from it,
+so the free rows among the first r take the pivots they would take in
+Y[:r] alone; and there a column holds a pivot exactly when it is
+outside the span of the columns before it.
 """
 
 from __future__ import annotations
@@ -120,10 +132,6 @@ class FFMatrix:
             return NotImplemented
         return self.p == other.p and self.shape == other.shape and bool(np.array_equal(self.data, other.data))
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __matmul__(self, other: "FFMatrix") -> "FFMatrix":
         return mat_mul(self, other)
 
@@ -153,9 +161,10 @@ def mat_mul(a: FFMatrix, b: FFMatrix) -> FFMatrix:
         raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
     inner = a.cols
     # Partial sums of nonnegative int products stay below 2**53, so the
-    # BLAS float path is exact here and much faster than int64 matmul.
+    # BLAS float path, on C-contiguous operands, is exact and fast.
     if inner and (p - 1) * (p - 1) * inner < 2**53:
-        prod = np.rint(a.data.astype(np.float64) @ b.data.astype(np.float64)).astype(np.int64)
+        x, y = (np.ascontiguousarray(m.data, dtype=np.float64) for m in (a, b))
+        prod = np.rint(x @ y).astype(np.int64)
     else:
         prod = a.data @ b.data
     return FFMatrix._wrap(prod % p, p)
@@ -313,12 +322,7 @@ def _stack_of(mats: Sequence[FFMatrix], p: int) -> Stack:
 
 
 def pivot_columns(a: FFMatrix) -> list[int]:
-    """Ascending pivot columns of a row echelon form of a.
-
-    The cores scan columns left to right, so column c is a pivot exactly
-    when it is not in the span of the columns before it: the pivots
-    below c number rank a[:, :c], for every c.
-    """
+    """Ascending pivot columns of an echelon form of a; those below c number rank a[:, :c]."""
     return np.flatnonzero(_stack_of([a], a.p).eliminate()[0] >= 0).tolist()
 
 
@@ -328,8 +332,7 @@ def mat_rank(a: FFMatrix) -> int:
 
 
 def mat_ranks(mats: Sequence[FFMatrix]) -> list[int]:
-    """Ranks of matrices over one field, eliminated _BATCH at a time as
-    zero-padded stacks."""
+    """Ranks of matrices over one field, as zero-padded stacks of _BATCH."""
     if not mats:
         return []
     p = _check_same_p(*mats)
@@ -373,40 +376,28 @@ def kernel_bases(mats: Sequence[FFMatrix]) -> list[FFMatrix]:
 def kernel_basis(a: FFMatrix) -> FFMatrix:
     """A cols x k matrix whose columns form a basis of ker(a).
 
-    Columns are ordered by the free column index they correspond to, so
-    the result is deterministic.  a @ kernel_basis(a) is always zero and
-    k = cols - rank(a).
+    Columns follow the free columns they belong to, so the result is
+    deterministic; a @ kernel_basis(a) is zero and k = cols - rank(a).
     """
     return kernel_bases([a])[0]
 
 
-def reducing_transform(a: FFMatrix) -> tuple[list[int], FFMatrix]:
-    """Pivot columns of a, and an invertible L with L V = [I ; 0] for V
-    the pivot columns of a, so L a is the reduced row echelon form of a.
-
-    One reduced elimination of [a | I] leaves L' a in its left block and
-    L' in its right one, for an invertible L'.  Each pivot column of L' a
-    is a unit vector, with its one in the row holding the pivot; L is L'
-    with those rows first, in pivot-column order, and the other rows
-    after them.
-    """
-    rows, cols, p = a.rows, a.cols, a.p
-    stack = Stack(1, rows, cols + rows, p)
-    stack[0] = np.hstack([a.data, np.eye(rows, dtype=np.int64)])
-    piv = stack.eliminate()[0, :cols]
-    held = piv[piv >= 0]
-    order = np.concatenate((held, np.setdiff1d(np.arange(rows), held)))
-    return np.flatnonzero(piv >= 0).tolist(), FFMatrix._wrap(stack.reduced(cols)[0][order], p)
-
-
 def mat_inv(a: FFMatrix) -> FFMatrix:
-    """Inverse of a square invertible matrix; raises ShapeError otherwise."""
+    """Inverse of a square invertible matrix; raises ShapeError otherwise.
+
+    One reduced elimination of [a | I] leaves L a in its left block and L
+    in its right one.  For invertible a each column of L a is the unit
+    vector of its pivot row, so L with those rows in column order is a^-1.
+    """
     if a.rows != a.cols:
         raise ShapeError(f"cannot invert non-square matrix {a.shape}")
-    pivots, inverse = reducing_transform(a)
-    if len(pivots) < a.rows:
+    n, p = a.rows, a.p
+    stack = Stack(1, n, 2 * n, p)
+    stack[0] = np.hstack([a.data, np.eye(n, dtype=np.int64)])
+    piv = stack.eliminate()[0, :n]
+    if (piv < 0).any():
         raise ShapeError("matrix is singular")
-    return inverse
+    return FFMatrix._wrap(stack.reduced(n)[0][piv], p)
 
 
 def hstack(a: FFMatrix, b: FFMatrix) -> FFMatrix:

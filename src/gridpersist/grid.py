@@ -122,9 +122,6 @@ class PersistenceModule:
     def dim(self, v: Vertex) -> int:
         return self.dims[v]
 
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
 
 def validate(module: PersistenceModule) -> tuple[int, int] | None:
     """Commutativity check: None when every square commutes.

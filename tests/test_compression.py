@@ -17,7 +17,7 @@ from gridpersist.compression import (
     classify_ss,
     compressed_multiplicity_function,
 )
-from gridpersist.ffmat import GF2, FFMatrix, FieldSpec, ShapeError, hstack, mat_mul, reducing_transform
+from gridpersist.ffmat import GF2, FFMatrix, FieldSpec, ShapeError, Stack, hstack, mat_mul, random_invertible
 from gridpersist.generators import (
     example_module,
     make_rng,
@@ -27,6 +27,8 @@ from gridpersist.generators import (
 )
 from gridpersist.grid import (
     Grid,
+    PersistenceModule,
+    conjugate,
     direct_sum,
     interval_module,
     path_map_table,
@@ -178,6 +180,16 @@ class TestAgainstBlockForms:
         assert [compressed_multiplicity_function(m) for m in modules] == whole
 
 
+def reduce_with_identity(images, p):
+    """Pivot columns of images, and the reduced I block of [images | I]
+    with its rows in pivot-column order: the L with L V = [I ; 0]."""
+    d, w = images.shape
+    stack = Stack(1, d, w + d, p)
+    stack[0] = np.hstack([images, np.eye(d, dtype=np.int64)])
+    piv = stack.eliminate()[0, :w + d]
+    return np.flatnonzero(piv[:w] >= 0).tolist(), FFMatrix(stack.reduced(w)[0][piv[piv >= 0]], p)
+
+
 class TestCoordinateChange:
     """rank [x | V_c] = c + rank((L x)[c:]) for V the pivot columns of the
     images and L from one elimination of [images | I]."""
@@ -191,7 +203,7 @@ class TestCoordinateChange:
         rank = min(rank, d, width)
         images = (rng.integers(0, p, size=(d, rank)) @ rng.integers(0, p, size=(rank, width))) % p
         x = FFMatrix(rng.integers(0, p, size=(d, w)), p)
-        pivots, lmat = reducing_transform(FFMatrix(images, p))
+        pivots, lmat = reduce_with_identity(images, p)
         assert lmat.shape == (d, d) and naive_rank(lmat.tolist(), p) == d
         assert len(pivots) == naive_rank(images.tolist(), p)
         v = FFMatrix(images[:, pivots], p)
@@ -199,6 +211,41 @@ class TestCoordinateChange:
         for c in range(len(pivots) + 1):
             lhs = naive_rank(hstack(x, FFMatrix(v.data[:, :c], p)).tolist(), p)
             assert lhs == c + naive_rank(y[c:], p)
+
+
+def module_with_gaps(n, k, gaps, field, rng):
+    """A disguised sum of k intervals, none of them meeting the vertices
+    in gaps, so those vertices have dimension zero."""
+    grid = Grid(2, n)
+    allowed = [I for I in enumerate_intervals(2, n)
+               if not any(I.s <= i <= I.t and I.span(i)[0] <= j <= I.span(i)[1] for i, j in gaps)]
+    module = PersistenceModule(grid, field, {v: 0 for v in grid.vertices()})
+    for _ in range(k):
+        module = direct_sum(module, interval_module(grid, allowed[int(rng.integers(len(allowed)))], field))
+    return conjugate(module, {v: random_invertible(module.dims[v], field, rng) for v in grid.vertices()})
+
+
+class TestImageChain:
+    """rect[t][b] = rank M((i, b) -> t), from one elimination of [f V | I]
+    per sink, V the basis of the sink before it."""
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    def test_rect_is_every_path_rank(self, p):
+        rng = make_rng(700 + p)
+        field = FieldSpec(p)
+        modules = [random_module(6, d, field, rng) for d in (1, 3, 5)]
+        # a zero space mid-row: its basis is 0 x 0 and the next X is all I
+        modules += [module_with_gaps(6, 9, gaps, field, rng)
+                    for gaps in ([(1, 3)], [(2, 4)], [(1, 2), (2, 2), (1, 5)], [(2, 1), (2, 6)])]
+        for m in modules:
+            table = path_map_table(m)
+            rect = compression._GroupedRanks(m, table).rect
+            for (i, j) in m.grid.vertices():
+                want = [0] + [naive_rank(table[((i, b), (i, j))].tolist(), p) for b in range(1, j + 1)]
+                assert rect[(i, j)] == want, (i, j)
+        # the case of interest occurs: a zero space between nonzero ones on a row
+        assert any(m.dims[(i, j)] == 0 and m.dims[(i, j - 1)] and m.dims[(i, j + 1)]
+                   for m in modules for i in (1, 2) for j in range(2, 6))
 
 
 class TestStructuralProperties:
@@ -240,8 +287,6 @@ class TestStructuralProperties:
                 assert f[I] == ranks[(shape.src, shape.dst)]
 
     def test_height_three_rejected(self):
-        from gridpersist.grid import PersistenceModule
-
         tall = PersistenceModule(Grid(3, 1), GF2, {(1, 1): 0, (2, 1): 0, (3, 1): 0})
         with pytest.raises(ValueError):
             compressed_multiplicity_function(tall)

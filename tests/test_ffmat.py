@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from bisect import bisect_left
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +163,74 @@ class TestPivotPrefix:
             assert bisect_left(pivots, c) == naive_rank([r[:c] for r in body], a.p)
 
 
+def profile_ranks(piv, r, m):
+    """rank Y[:r, :m] as the pivot rows piv of Y's elimination give it."""
+    return sum(1 for c in range(m) if 0 <= piv[c] < r)
+
+
+def sparse_low_rank(rng, rows, cols, rank, p):
+    """A rank <= rank product of sparse factors: zero rows and columns and
+    rows that depend on rows below them, so the profile is not a staircase."""
+    x = rng.integers(0, p, size=(rows, rank)) * (rng.random((rows, rank)) < 0.3)
+    y = rng.integers(0, p, size=(rank, cols)) * (rng.random((rank, cols)) < 0.3)
+    return (x @ y) % p
+
+
+def prefix_cuts(n):
+    return sorted({c for c in (0, 1, 2, 31, 62, 63, 64, 65, 66, 127, 128, 129) if c <= n} | {n})
+
+
+class TestRankProfile:
+    """rank Y[:r, :m] = #{c < m : 0 <= piv[c] < r}: the cores pivot on the
+    topmost free row, so the first r rows take the pivots they would take
+    alone."""
+
+    @given(st.sampled_from([2, 3, 65521]), st.integers(0, 9), st.integers(0, 9),
+           st.integers(0, 9), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_every_top_left_submatrix(self, p, rows, cols, rank, planted, seed):
+        rng = np.random.default_rng(seed)
+        if planted:
+            a = sparse_low_rank(rng, rows, cols, rank, p)
+        else:
+            a = rng.integers(0, p, size=(rows, cols))
+        piv = generic_reduced(a, p)[0] if p != 2 else packed_pivots(a)
+        body = a.tolist()
+        for r in range(rows + 1):
+            for m in range(cols + 1):
+                assert profile_ranks(piv, r, m) == naive_rank([row[:m] for row in body[:r]], p)
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    @pytest.mark.parametrize("shape", [(63, 129), (64, 65), (65, 64), (128, 63), (129, 128)])
+    def test_panel_edges(self, p, shape):
+        rows, cols = shape
+        rng = np.random.default_rng([p, rows, cols])
+        for a in (sparse_low_rank(rng, rows, cols, 12, p), rng.integers(0, p, size=(rows, 20))):
+            stack = Stack(1, *a.shape, p)
+            stack[0] = a
+            piv = stack.eliminate()[0].tolist()
+            body = a.tolist()
+            for r in prefix_cuts(a.shape[0]):
+                for m in prefix_cuts(a.shape[1]):
+                    assert profile_ranks(piv, r, m) == naive_rank([row[:m] for row in body[:r]], p)
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    def test_zero_padded_mixed_shapes(self, p):
+        rng = np.random.default_rng(p + 7)
+        mats = [np.zeros((0, 64), dtype=np.int64), np.zeros((9, 0), dtype=np.int64)]
+        for rows, cols in ((63, 65), (64, 129), (5, 128), (129, 9)):
+            mats.append(sparse_low_rank(rng, rows, cols, 10, p))
+        mats.append(rng.integers(0, p, size=(12, 64)))
+        stack = Stack(len(mats), 131, 130, p)
+        for k, a in enumerate(mats):
+            stack[k] = a
+        for a, piv in zip(mats, stack.eliminate().tolist()):
+            body = a.tolist()
+            for r in prefix_cuts(a.shape[0]):
+                for m in prefix_cuts(a.shape[1]):
+                    assert profile_ranks(piv, r, m) == naive_rank([row[:m] for row in body[:r]], p)
+
+
 class TestStack:
     """Members of any shape share one elimination and keep their own results."""
 
@@ -232,6 +304,50 @@ class TestMul:
     def test_modulus_mismatch(self):
         with pytest.raises(ShapeError):
             mat_mul(FFMatrix.zeros(2, 2, 2), FFMatrix.zeros(2, 2, 3))
+
+    @pytest.mark.parametrize("p", [2, 65521])
+    def test_transposed_and_reversed_operands(self, p):
+        # F-ordered and negative-stride data, as FFMatrix.T and row reversal make
+        rng = np.random.default_rng(p)
+        a = rand_mat(rng, 40, 30, p)
+        b = rand_mat(rng, 40, 20, p)
+        for x, y in ((a.T, b), (FFMatrix._wrap(a.data[::-1], p).T, b.T.T),
+                     (FFMatrix._wrap(a.data.T[:, ::-1], p), FFMatrix._wrap(b.data[::-1, ::-2], p))):
+            assert mat_mul(x, y).tolist() == naive_mul(x.tolist(), y.tolist(), p)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_float_path_at_its_bound(self, side):
+        # the float path is taken while (p - 1)**2 * inner < 2**53.  Entries
+        # p - 1 and one p - 2 make an odd sum, which float64 cannot hold
+        # past 2**53: the product just above the bound is wrong on that path
+        p = 65521
+        inner = (2**53 - 1) // (p - 1) ** 2 + side
+        a = np.full(inner, p - 1, dtype=np.int64)
+        a[-1] = p - 2
+        want = (inner - 1) * (p - 1) ** 2 + (p - 2) ** 2
+        assert (want > 2**53) == bool(side)
+        got = mat_mul(FFMatrix._wrap(a[None, :], p), FFMatrix._wrap(a[:, None], p))
+        assert got.tolist() == [[want % p]]
+
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_products_run_on_one_blas_thread(self, preset):
+        # a fresh interpreter, as the CLI starts: importing the package first
+        # leaves OpenBLAS one thread and starts no worker, unless the caller
+        # chose a count
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(ffmat.__file__).resolve().parents[1])
+        if preset:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = ("import gridpersist.ffmat as f, numpy as np, os; "
+                "a = f.FFMatrix._wrap(np.ones((300, 300), dtype=np.int64), 65521); f.mat_mul(a, a); "
+                "t = '/proc/self/task'; "
+                "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir(t)) if os.path.isdir(t) else 1)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        count, threads = out.stdout.split()
+        assert count == (preset or "1")
+        if not preset:
+            assert threads == "1"
 
     def test_large_entries_stay_exact(self):
         p = 65521
