@@ -52,15 +52,7 @@ from .grid import (
     rank_invariant,
     validate,
 )
-from .intervals import (
-    Interval,
-    covers,
-    enumerate_intervals,
-    interval_contains_rectangle,
-    join_covers,
-    leq,
-    rectangle_from,
-)
+from .intervals import Interval, enumerate_intervals, interval_contains_rectangle
 from .mobius import mobius_invert, mu_prime
 from .pmod import (
     PmodError,

@@ -4,7 +4,8 @@ The source-sink compression of an interval I restricts a module to the
 sources and sinks of I with the composed path maps between them.  The
 compressed multiplicity of I in M is the multiplicity of the compressed
 interval module inside the compressed M; for grids of height at most
-two it reduces to ranks of matrices built from the path-map table.
+two it reduces to ranks of matrices built from the arrows alone, without
+a table of path maps.
 
 Interval shapes over a 2 x n grid, writing row 1 for the bottom row and
 (b_i, d_i) for the column span of row i:
@@ -67,6 +68,11 @@ With rev(U) the rows of U reversed, the rank profiles of rev(U) and of
 value of the sink t.  So a 2 x n module takes n image eliminations, each
 a stack of the X of both rows, and n profile stacks, split only past
 _BATCH members.
+
+Every matrix multiplied takes one arrow at a time: f is the horizontal
+arrow into t, M(s -> t) is the vertical arrow at s, and H is chained
+along row 1, M(s -> (1, d1)) V1 = h M(s -> (1, d1 - 1)) V1 with h the
+arrow (1, d1 - 1) -> (1, d1), starting from V1.
 """
 
 from __future__ import annotations
@@ -76,13 +82,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ffmat import FFMatrix, Stack, mat_mul
-from .grid import PersistenceModule, path_map_table
+from .grid import PersistenceModule
 from .intervals import Interval, Vertex, enumerate_intervals
 
 # perfbench/tracer.py patches these names on this module; nothing here calls them
 from .ffmat import block2x2, hstack, mat_rank, vstack  # noqa: F401
-
-PathTable = dict[tuple[Vertex, Vertex], FFMatrix]
+from .grid import path_map_table  # noqa: F401
 
 POINT = "point"
 ARROW = "arrow"
@@ -157,7 +162,7 @@ class _GroupedRanks:
     W in place of B.
     """
 
-    def __init__(self, module: PersistenceModule, table: PathTable):
+    def __init__(self, module: PersistenceModule):
         g, p, dims = module.grid, module.field.p, module.dims
         self.rect: dict[Vertex, list[int]] = {}
         self.pair: dict[tuple[Vertex, Vertex], list[int]] = {}
@@ -167,7 +172,7 @@ class _GroupedRanks:
         for j in range(1, g.n + 1):
             sinks = [(i, j) for i in bases]
             images = [
-                mat_mul(table[((i, j - 1), t)], bases[i]).data if j > 1
+                mat_mul(module.hmaps[(i, j - 1)], bases[i]).data if j > 1
                 else np.zeros((dims[t], 0), dtype=np.int64)
                 for i, t in zip(bases, sinks)
             ]
@@ -187,9 +192,9 @@ class _GroupedRanks:
                 # the reduced I block of the row-2 member, pivot rows first,
                 # is the L with L V = [I ; 0]
                 lmat = stack.reduced(images[1].shape[1])[1][piv[1][piv[1] >= 0], :dims[(2, j)]]
-                self._sink_ranks(module, table, j, FFMatrix._wrap(lmat, p), bases[1])
+                self._sink_ranks(module, j, FFMatrix._wrap(lmat, p), bases[1])
 
-    def _sink_ranks(self, module: PersistenceModule, table: PathTable, j: int, lmat: FFMatrix, v1: FFMatrix):
+    def _sink_ranks(self, module: PersistenceModule, j: int, lmat: FFMatrix, v1: FFMatrix):
         """pair and triple of the sink t = (2, j), from one profile stack.
 
         lmat is the L of t and v1 the basis V of s = (1, j).  With
@@ -198,9 +203,12 @@ class _GroupedRanks:
         """
         g, p, dims = module.grid, module.field.p, module.dims
         s, t = (1, j), (2, j)
-        rev = mat_mul(lmat, mat_mul(table[(s, t)], v1)).data[::-1]
+        rev = mat_mul(lmat, mat_mul(module.vmaps[s], v1)).data[::-1]
         ends = range(j + 1, g.n + 1)
-        members = [rev] + [np.vstack([mat_mul(table[(s, (1, d1))], v1).data, rev]) for d1 in ends]
+        members, h = [rev], v1
+        for d1 in ends:
+            h = mat_mul(module.hmaps[(1, d1 - 1)], h)
+            members.append(np.vstack([h.data, rev]))
         heights = [0] + [dims[(1, d1)] for d1 in ends]
         c = np.array(self.rect[t][:j])
         c1 = self.rect[s][1:]
@@ -238,12 +246,12 @@ class _GroupedRanks:
 def compressed_multiplicity_function(module: PersistenceModule) -> dict[Interval, int]:
     """Compressed multiplicity of every interval, in canonical order.
 
-    Builds the path-map table eagerly, computes the grouped ranks once
-    and evaluates the formulas per interval on one thread.
+    Computes the grouped ranks once, from products with single arrows
+    only, and evaluates the formulas per interval on one thread.
     """
     g = module.grid
     if g.m > 2:
         raise ValueError(f"grid height {g.m} > 2 is not supported")
     intervals = enumerate_intervals(g.m, g.n)
-    ranks = _GroupedRanks(module, path_map_table(module))
+    ranks = _GroupedRanks(module)
     return {I: ranks.value(I) for I in intervals}

@@ -15,8 +15,8 @@ rows, and the core returns the row holding each column's pivot.  The
 loop ends once every row of every member holds a pivot.  For p = 2
 rows are packed into 64-bit words and eliminated with XOR; for other p
 entries are uint32 and pivot rows are scaled by a table of inverses.
-The single-matrix functions pass a stack of one; mat_ranks and
-kernel_bases stack many matrices at a time.
+The single-matrix functions pass a stack of one; mat_ranks stacks many
+matrices at a time.
 
 The pivot rows give the rank profile of every member Y (Dumas, Pernet
 & Sultan, J. Symbolic Comput. 2017):
@@ -122,10 +122,6 @@ class FFMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
-
-    @property
-    def T(self) -> "FFMatrix":
-        return FFMatrix(self.data.T, self.p)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FFMatrix):
@@ -353,33 +349,15 @@ def _kernel(form: np.ndarray, piv: np.ndarray, p: int) -> FFMatrix:
     return FFMatrix._wrap(basis, p)
 
 
-def kernel_bases(mats: Sequence[FFMatrix]) -> list[FFMatrix]:
-    """kernel_basis of each matrix, from zero-padded stacks of _BATCH.
-
-    The matrices share a field and a column count; their row counts may
-    differ, since zero rows leave a kernel unchanged.
-    """
-    if not mats:
-        return []
-    p = _check_same_p(*mats)
-    if len({a.cols for a in mats}) > 1:
-        raise ShapeError(f"kernel stack needs one column count: {sorted({a.cols for a in mats})}")
-    out: list[FFMatrix] = []
-    for lo in range(0, len(mats), _BATCH):
-        stack = _stack_of(mats[lo:lo + _BATCH], p)
-        piv = stack.eliminate()
-        form = stack.reduced()
-        out += [_kernel(form[k], piv[k], p) for k in range(len(piv))]
-    return out
-
-
 def kernel_basis(a: FFMatrix) -> FFMatrix:
     """A cols x k matrix whose columns form a basis of ker(a).
 
     Columns follow the free columns they belong to, so the result is
     deterministic; a @ kernel_basis(a) is zero and k = cols - rank(a).
     """
-    return kernel_bases([a])[0]
+    stack = _stack_of([a], a.p)
+    piv = stack.eliminate()
+    return _kernel(stack.reduced()[0], piv[0], a.p)
 
 
 def mat_inv(a: FFMatrix) -> FFMatrix:

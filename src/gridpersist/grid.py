@@ -119,9 +119,6 @@ class PersistenceModule:
     def __setattr__(self, name, value):
         raise AttributeError("PersistenceModule is immutable")
 
-    def dim(self, v: Vertex) -> int:
-        return self.dims[v]
-
 
 def validate(module: PersistenceModule) -> tuple[int, int] | None:
     """Commutativity check: None when every square commutes.
@@ -168,16 +165,12 @@ def path_map_table(module: PersistenceModule) -> dict[tuple[Vertex, Vertex], FFM
     return table
 
 
-def rank_invariant(
-    module: PersistenceModule,
-    table: dict[tuple[Vertex, Vertex], FFMatrix] | None = None,
-) -> dict[tuple[Vertex, Vertex], int]:
+def rank_invariant(module: PersistenceModule) -> dict[tuple[Vertex, Vertex], int]:
     """rank M(src -> dst) for every comparable pair src <= dst.
 
     The path maps are eliminated together as zero-padded stacks.
     """
-    if table is None:
-        table = path_map_table(module)
+    table = path_map_table(module)
     pairs = list(module.grid.comparable_pairs())
     return dict(zip(pairs, mat_ranks([table[pair] for pair in pairs])))
 

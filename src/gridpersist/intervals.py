@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 Vertex = tuple[int, int]
 
@@ -67,22 +67,9 @@ class Interval:
     def fits(self, m: int, n: int) -> bool:
         return self.t <= m and all(d <= n for _, d in self.rows)
 
-    def vertex_count(self) -> int:
-        return sum(d - b + 1 for b, d in self.rows)
-
     def vertices(self) -> set[Vertex]:
         return {(i, j) for i in range(self.s, self.t + 1)
                 for j in range(self.span(i)[0], self.span(i)[1] + 1)}
-
-    def contains_vertex(self, v: Vertex) -> bool:
-        i, j = v
-        if not self.s <= i <= self.t:
-            return False
-        b, d = self.span(i)
-        return b <= j <= d
-
-    def is_rectangle(self) -> bool:
-        return len(set(self.rows)) == 1
 
     def to_string(self) -> str:
         body = ";".join(f"[{b},{d}]" for b, d in self.rows)
@@ -99,38 +86,6 @@ class Interval:
         )
         return Interval(s, t, spans)
 
-    @staticmethod
-    def from_vertices(vs: Iterable[Vertex]) -> "Interval":
-        """Build the interval with exactly this vertex set.
-
-        Raises ValueError if the set is not a staircase (a gap inside a
-        row, a missing row, or a staircase violation).
-        """
-        vs = set(vs)
-        if not vs:
-            raise ValueError("empty vertex set")
-        by_row: dict[int, list[int]] = {}
-        for i, j in vs:
-            by_row.setdefault(i, []).append(j)
-        s, t = min(by_row), max(by_row)
-        spans = []
-        for i in range(s, t + 1):
-            if i not in by_row:
-                raise ValueError(f"row {i} missing from vertex set")
-            cols = sorted(by_row[i])
-            if cols[-1] - cols[0] + 1 != len(cols):
-                raise ValueError(f"row {i} is not contiguous")
-            spans.append((cols[0], cols[-1]))
-        return Interval(s, t, tuple(spans))
-
-
-def rectangle_from(src: Vertex, dst: Vertex) -> Interval:
-    """The rectangle with lower-left source src and upper-right sink dst."""
-    (i1, j1), (i2, j2) = src, dst
-    if i1 > i2 or j1 > j2:
-        raise ValueError(f"{src} is not componentwise below {dst}")
-    return Interval(i1, i2, tuple((j1, j2) for _ in range(i1, i2 + 1)))
-
 
 def interval_contains_rectangle(I: Interval, src: Vertex, dst: Vertex) -> bool:
     """Whether the full rectangle spanned by src..dst lies inside I.
@@ -144,18 +99,6 @@ def interval_contains_rectangle(I: Interval, src: Vertex, dst: Vertex) -> bool:
         raise ValueError(f"{src} is not componentwise below {dst}")
     return (I.s <= i1 and i2 <= I.t
             and I.rows[i1 - I.s][0] <= j1 and I.rows[i2 - I.s][1] >= j2)
-
-
-def leq(I: Interval, J: Interval) -> bool:
-    """Inclusion order: every vertex of I lies in J."""
-    if I.s < J.s or I.t > J.t:
-        return False
-    for i in range(I.s, I.t + 1):
-        b, d = I.span(i)
-        bj, dj = J.span(i)
-        if b < bj or d > dj:
-            return False
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -222,18 +165,6 @@ def _cover_candidates(I: Interval, m: int, n: int) -> list[tuple[str, Interval]]
     return cands
 
 
-def covers(I: Interval, m: int, n: int) -> tuple[Interval, ...]:
-    """The covers of I in the m x n interval poset, canonical order.
-
-    Every cover has exactly one more vertex than I; it arises by
-    extending a single row one step left or right or by starting a new
-    row above the upper-left or below the lower-right corner.
-    """
-    if not I.fits(m, n):
-        raise ValueError(f"{I.to_string()} does not fit in a {m} x {n} grid")
-    return tuple(sorted(J for _, J in _cover_candidates(I, m, n)))
-
-
 def _join_cover_subset(I: Interval, tagged: Sequence[tuple[str, Interval]]) -> Interval:
     """Join of a nonempty set of covers of I, as tagged candidates.
 
@@ -257,25 +188,6 @@ def _join_cover_subset(I: Interval, tagged: Sequence[tuple[str, Interval]]) -> I
         b, d = spans[I.s - 1 - s]
         spans[I.s - 1 - s] = (b, I.span(I.s)[1] + 1)
     return Interval(s, t, tuple(spans))
-
-
-def join_covers(I: Interval, S: Iterable[Interval], m: int, n: int) -> Interval:
-    """The join of a nonempty subset S of Cov(I) above I.
-
-    Equals the convex closure of the union of the members of S; raises
-    ValueError when S is empty or contains a non-cover of I.
-    """
-    wanted = list(S)
-    if not wanted:
-        raise ValueError("join of an empty cover set")
-    tagged = _cover_candidates(I, m, n)
-    by_interval = {J: tag for tag, J in tagged}
-    chosen = []
-    for J in wanted:
-        if J not in by_interval:
-            raise ValueError(f"{J.to_string()} is not a cover of {I.to_string()}")
-        chosen.append((by_interval[J], J))
-    return _join_cover_subset(I, chosen)
 
 
 def cover_subset_joins(I: Interval, m: int, n: int) -> Iterator[tuple[int, Interval]]:

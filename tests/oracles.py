@@ -1,7 +1,13 @@
 """Independent reference implementations used only as test oracles.
 
-Everything here is deliberately naive: pure-Python textbook algorithms
-with no shared code with the package, so agreement is meaningful.
+Everything here is deliberately naive: textbook algorithms written
+apart from the package's, so agreement is meaningful.  The
+Hom-dimension route shares no code path with the package: it reads the
+arrows off the module, composes path maps with naive_mul, classifies
+shapes from the vertex set and ranks with naive_rank; FFMatrix only
+holds its matrices.  The poset helpers are interval operations only the
+tests use; covers and join_covers select from the package's cover
+candidates and cover joins.
 """
 
 from __future__ import annotations
@@ -17,14 +23,18 @@ from gridpersist.compression import (
     POINT,
     TWO_SOURCES_ONE_SINK,
     TWO_SOURCES_TWO_SINKS,
-    SsShape,
     classify_ss,
 )
-from gridpersist.ffmat import FFMatrix, ShapeError, block2x2, hstack, mat_rank, vstack
+from gridpersist.ffmat import FFMatrix, ShapeError, block2x2, hstack, vstack
 from gridpersist.grid import PersistenceModule
-from gridpersist.intervals import Interval, Vertex, cover_subset_joins, enumerate_intervals, leq
-
-PathTable = dict[tuple[Vertex, Vertex], FFMatrix]
+from gridpersist.intervals import (
+    Interval,
+    Vertex,
+    _cover_candidates,
+    _join_cover_subset,
+    cover_subset_joins,
+    enumerate_intervals,
+)
 
 
 def naive_rank(rows: list[list[int]], p: int) -> int:
@@ -68,6 +78,99 @@ def naive_mul(a: list[list[int]], b: list[list[int]], p: int, bcols: int = 0) ->
     ]
 
 
+# --- interval poset helpers ------------------------------------------
+
+def vertex_count(I: Interval) -> int:
+    return sum(d - b + 1 for b, d in I.rows)
+
+
+def contains_vertex(I: Interval, v: Vertex) -> bool:
+    i, j = v
+    if not I.s <= i <= I.t:
+        return False
+    b, d = I.span(i)
+    return b <= j <= d
+
+
+def is_rectangle(I: Interval) -> bool:
+    return len(set(I.rows)) == 1
+
+
+def from_vertices(vs: Iterable[Vertex]) -> Interval:
+    """Build the interval with exactly this vertex set.
+
+    Raises ValueError if the set is not a staircase (a gap inside a
+    row, a missing row, or a staircase violation).
+    """
+    vs = set(vs)
+    if not vs:
+        raise ValueError("empty vertex set")
+    by_row: dict[int, list[int]] = {}
+    for i, j in vs:
+        by_row.setdefault(i, []).append(j)
+    s, t = min(by_row), max(by_row)
+    spans = []
+    for i in range(s, t + 1):
+        if i not in by_row:
+            raise ValueError(f"row {i} missing from vertex set")
+        cols = sorted(by_row[i])
+        if cols[-1] - cols[0] + 1 != len(cols):
+            raise ValueError(f"row {i} is not contiguous")
+        spans.append((cols[0], cols[-1]))
+    return Interval(s, t, tuple(spans))
+
+
+def rectangle_from(src: Vertex, dst: Vertex) -> Interval:
+    """The rectangle with lower-left source src and upper-right sink dst."""
+    (i1, j1), (i2, j2) = src, dst
+    if i1 > i2 or j1 > j2:
+        raise ValueError(f"{src} is not componentwise below {dst}")
+    return Interval(i1, i2, tuple((j1, j2) for _ in range(i1, i2 + 1)))
+
+
+def leq(I: Interval, J: Interval) -> bool:
+    """Inclusion order: every vertex of I lies in J."""
+    if I.s < J.s or I.t > J.t:
+        return False
+    for i in range(I.s, I.t + 1):
+        b, d = I.span(i)
+        bj, dj = J.span(i)
+        if b < bj or d > dj:
+            return False
+    return True
+
+
+def covers(I: Interval, m: int, n: int) -> tuple[Interval, ...]:
+    """The covers of I in the m x n interval poset, canonical order.
+
+    Every cover has exactly one more vertex than I; it arises by
+    extending a single row one step left or right or by starting a new
+    row above the upper-left or below the lower-right corner.
+    """
+    if not I.fits(m, n):
+        raise ValueError(f"{I.to_string()} does not fit in a {m} x {n} grid")
+    return tuple(sorted(J for _, J in _cover_candidates(I, m, n)))
+
+
+def join_covers(I: Interval, S: Iterable[Interval], m: int, n: int) -> Interval:
+    """The join of a nonempty subset S of Cov(I) above I.
+
+    Equals the convex closure of the union of the members of S; raises
+    ValueError when S is empty or contains a non-cover of I.
+    """
+    wanted = list(S)
+    if not wanted:
+        raise ValueError("join of an empty cover set")
+    tagged = _cover_candidates(I, m, n)
+    by_interval = {J: tag for tag, J in tagged}
+    chosen = []
+    for J in wanted:
+        if J not in by_interval:
+            raise ValueError(f"{J.to_string()} is not a cover of {I.to_string()}")
+        chosen.append((by_interval[J], J))
+    return _join_cover_subset(I, chosen)
+
+
 def subset_interval_count(m: int, n: int) -> int:
     """Number of intervals by checking every nonempty vertex subset."""
     from itertools import combinations
@@ -77,7 +180,7 @@ def subset_interval_count(m: int, n: int) -> int:
     for r in range(1, len(verts) + 1):
         for sub in combinations(verts, r):
             try:
-                Interval.from_vertices(sub)
+                from_vertices(sub)
                 count += 1
             except ValueError:
                 pass
@@ -126,7 +229,7 @@ def brute_force_mobius(m: int, n: int) -> dict[tuple[Interval, Interval], int]:
     if N > 5000:
         raise ValueError(f"poset too large for the brute-force recursion: {N} intervals")
     below = [[leq(intervals[a], intervals[b]) for b in range(N)] for a in range(N)]
-    by_rank = sorted(range(N), key=lambda k: intervals[k].vertex_count())
+    by_rank = sorted(range(N), key=lambda k: vertex_count(intervals[k]))
     out: dict[tuple[Interval, Interval], int] = {}
     for a in range(N):
         vals: dict[int, int] = {}
@@ -200,9 +303,21 @@ class QuiverRep:
                 raise ShapeError(f"arrow {src}->{dst} must be {want} over GF({self.p})")
 
 
+def path_map(module: PersistenceModule, src: Vertex, dst: Vertex) -> FFMatrix:
+    """M(src -> dst) composed from the module's arrows with naive_mul:
+    right along the row of src, then up the column of dst."""
+    p, cols = module.field.p, module.dims[src]
+    (i, j), (i2, j2) = src, dst
+    mat = [[int(r == c) for c in range(cols)] for r in range(cols)]
+    for b in range(j, j2):
+        mat = naive_mul(module.hmaps[(i, b)].tolist(), mat, p, bcols=cols)
+    for a in range(i, i2):
+        mat = naive_mul(module.vmaps[(a, j2)].tolist(), mat, p, bcols=cols)
+    return FFMatrix(np.array(mat, dtype=np.int64).reshape(module.dims[dst], cols), p)
+
+
 def restrict(
     module: PersistenceModule,
-    table: PathTable,
     E: Sequence[Vertex],
     arrows: Sequence[tuple[Vertex, Vertex]],
 ) -> QuiverRep:
@@ -210,8 +325,8 @@ def restrict(
 
     E lists grid vertices; arrows lists comparable grid vertex pairs
     with both endpoints in E.  The arrow matrices are the composed path
-    maps from the table, so the result is the compression of the module
-    along that subquiver.
+    maps, so the result is the compression of the module along that
+    subquiver.
     """
     index = {v: k for k, v in enumerate(E)}
     if len(index) != len(E):
@@ -227,7 +342,7 @@ def restrict(
         p=module.field.p,
         dims=tuple(module.dims[v] for v in E),
         arrows=tuple(pairs),
-        mats=tuple(table[(src, dst)] for src, dst in arrows),
+        mats=tuple(path_map(module, src, dst) for src, dst in arrows),
         labels=tuple(E),
     )
 
@@ -238,7 +353,7 @@ def hom_dim(A: QuiverRep, B: QuiverRep) -> int:
     A morphism is a family f_v : A(v) -> B(v) with
     f_dst A(alpha) = B(alpha) f_src for every arrow.  The constraints
     are assembled as one linear system via Kronecker products and the
-    dimension is unknowns minus rank.
+    dimension is unknowns minus its naive_rank.
     """
     if A.arrows != B.arrows or len(A.dims) != len(B.dims):
         raise ShapeError("hom_dim needs representations of the same quiver")
@@ -261,8 +376,7 @@ def hom_dim(A: QuiverRep, B: QuiverRep) -> int:
         rows.append(block % p)
     if not rows:
         return total
-    system = FFMatrix(np.vstack(rows), p)
-    return total - mat_rank(system)
+    return total - naive_rank(np.vstack(rows).tolist(), p)
 
 
 # --- fixed small representations for the oracle route ------------------
@@ -275,38 +389,43 @@ _SS_ARROWS = {
     TWO_SOURCES_TWO_SINKS: ((1, 3), (0, 3), (0, 2)),  # vertices [s1, s2, t1, t2]
 }
 
-
-def ss_quiver_vertices(shape: SsShape) -> tuple[Vertex, ...]:
-    """Grid vertices of the compression quiver, in the fixed order used
-    throughout this module."""
-    if shape.kind in (POINT,):
-        return (shape.src,)
-    if shape.kind == ARROW:
-        return (shape.src, shape.dst)
-    if shape.kind == TWO_SOURCES_ONE_SINK:
-        return (shape.s1, shape.s2, shape.t2)
-    if shape.kind == ONE_SOURCE_TWO_SINKS:
-        return (shape.s1, shape.t1, shape.t2)
-    return (shape.s1, shape.s2, shape.t1, shape.t2)
+_SS_KINDS = {
+    (1, 1): ARROW,
+    (2, 1): TWO_SOURCES_ONE_SINK,
+    (1, 2): ONE_SOURCE_TWO_SINKS,
+    (2, 2): TWO_SOURCES_TWO_SINKS,
+}
 
 
-def ss_restrict(module: PersistenceModule, table: PathTable, I: Interval) -> QuiverRep:
+def ss_roles(I: Interval) -> tuple[str, tuple[Vertex, ...]]:
+    """Shape of an interval of a height <= 2 grid and the grid vertices
+    of its compression quiver, read off its vertex set.
+
+    The vertices are the sources of I, bottom row first, then its
+    sinks, bottom row first; a point lists its one vertex once.
+    """
+    sources, sinks = sources_and_sinks(I)
+    if sources == sinks:
+        return POINT, sources
+    return _SS_KINDS[len(sources), len(sinks)], sources + sinks
+
+
+def ss_restrict(module: PersistenceModule, I: Interval) -> QuiverRep:
     """Compression of the module along the source-sink quiver of I."""
-    shape = classify_ss(I)
-    verts = ss_quiver_vertices(shape)
-    arrows = [(verts[a], verts[b]) for a, b in _SS_ARROWS[shape.kind]]
-    return restrict(module, table, verts, arrows)
+    kind, verts = ss_roles(I)
+    arrows = [(verts[a], verts[b]) for a, b in _SS_ARROWS[kind]]
+    return restrict(module, verts, arrows)
 
 
-def ss_interval_rep(shape: SsShape, p: int) -> QuiverRep:
+def ss_interval_rep(I: Interval, p: int) -> QuiverRep:
     """The compressed interval module: one-dimensional with identities."""
-    arrows = _SS_ARROWS[shape.kind]
-    nverts = len(ss_quiver_vertices(shape))
+    kind, verts = ss_roles(I)
+    arrows = _SS_ARROWS[kind]
     one = FFMatrix.identity(1, p)
-    return QuiverRep(p=p, dims=(1,) * nverts, arrows=arrows, mats=(one,) * len(arrows))
+    return QuiverRep(p=p, dims=(1,) * len(verts), arrows=arrows, mats=(one,) * len(arrows))
 
 
-def almost_split_fixtures(shape: SsShape, p: int) -> tuple[QuiverRep, QuiverRep]:
+def almost_split_fixtures(I: Interval, p: int) -> tuple[QuiverRep, QuiverRep]:
     """The middle and end terms (B, C) of the almost split sequence
     starting at the compressed interval module of a two-sources,
     two-sinks interval.
@@ -317,7 +436,7 @@ def almost_split_fixtures(shape: SsShape, p: int) -> tuple[QuiverRep, QuiverRep]
     simple at s1.  Multiplicity satisfies
     hom(I', M') - hom(B, M') + hom(C, M').
     """
-    if shape.kind != TWO_SOURCES_TWO_SINKS:
+    if ss_roles(I)[0] != TWO_SOURCES_TWO_SINKS:
         raise ValueError(f"almost split fixtures are defined for {TWO_SOURCES_TWO_SINKS} only")
     arrows = _SS_ARROWS[TWO_SOURCES_TWO_SINKS]
     # vertex order [s1, s2, t1, t2]
@@ -344,7 +463,7 @@ def almost_split_fixtures(shape: SsShape, p: int) -> tuple[QuiverRep, QuiverRep]
     return b, c
 
 
-def hom_multiplicity(module, table, I: Interval) -> int:
+def hom_multiplicity(module: PersistenceModule, I: Interval) -> int:
     """Compressed multiplicity through Hom-dimension computations only.
 
     Uses the socle-quotient identity for the injective shapes, the dual
@@ -352,30 +471,30 @@ def hom_multiplicity(module, table, I: Interval) -> int:
     three-term almost-split identity for the two-sources-two-sinks
     shape.  Shares no code path with the closed-form rank formulas.
     """
-    shape = classify_ss(I)
+    kind = ss_roles(I)[0]
     p = module.field.p
-    comp = ss_restrict(module, table, I)
-    thin = ss_interval_rep(shape, p)
-    if shape.kind == POINT:
+    comp = ss_restrict(module, I)
+    thin = ss_interval_rep(I, p)
+    if kind == POINT:
         quot = QuiverRep(p, (0,), (), ())
         return hom_dim(thin, comp) - hom_dim(quot, comp)
-    if shape.kind == ARROW:
+    if kind == ARROW:
         quot = QuiverRep(p, (1, 0), thin.arrows, (FFMatrix.zeros(0, 1, p),))
         return hom_dim(thin, comp) - hom_dim(quot, comp)
-    if shape.kind == TWO_SOURCES_ONE_SINK:
+    if kind == TWO_SOURCES_ONE_SINK:
         quot = QuiverRep(
             p, (1, 1, 0), thin.arrows,
             (FFMatrix.zeros(0, 1, p), FFMatrix.zeros(0, 1, p)),
         )
         return hom_dim(thin, comp) - hom_dim(quot, comp)
-    if shape.kind == ONE_SOURCE_TWO_SINKS:
+    if kind == ONE_SOURCE_TWO_SINKS:
         rad = QuiverRep(
             p, (0, 1, 1), thin.arrows,
             (FFMatrix.zeros(1, 0, p), FFMatrix.zeros(1, 0, p)),
         )
         return hom_dim(comp, thin) - hom_dim(comp, rad)
-    assert shape.kind == TWO_SOURCES_TWO_SINKS
-    middle, end = almost_split_fixtures(shape, p)
+    assert kind == TWO_SOURCES_TWO_SINKS
+    middle, end = almost_split_fixtures(I, p)
     return hom_dim(thin, comp) - hom_dim(middle, comp) + hom_dim(end, comp)
 
 
@@ -420,7 +539,7 @@ def convex_closure(vs: Iterable[Vertex]) -> Interval:
                 if below and above:
                     cur.add(z)
                     changed = True
-    return Interval.from_vertices(cur)
+    return from_vertices(cur)
 
 
 def _is_connected(vs: set[Vertex]) -> bool:
@@ -484,21 +603,22 @@ def meet_over(I: Interval, J1: Interval, J2: Interval) -> Interval:
 
 # --- essential vertices ------------------------------------------------
 
-def ss_essential(I: Interval) -> tuple[Vertex, ...]:
-    """Sources and sinks of I viewed as a subquiver of the grid.
+def sources_and_sinks(I: Interval) -> tuple[tuple[Vertex, ...], tuple[Vertex, ...]]:
+    """Sources and sinks of I viewed as a subquiver of the grid, each sorted.
 
-    A source has no in-arrow inside I, a sink no out-arrow.  The result
-    is sorted; sources and sinks of a staircase are always distinct
-    vertices of the form (i, b_i) and (i, d_i).
+    A source has no in-arrow inside I, a sink no out-arrow.
     """
     vs = I.vertices()
-    out = []
-    for i, j in vs:
-        is_source = (i, j - 1) not in vs and (i - 1, j) not in vs
-        is_sink = (i, j + 1) not in vs and (i + 1, j) not in vs
-        if is_source or is_sink:
-            out.append((i, j))
-    return tuple(sorted(out))
+    sources = tuple(sorted((i, j) for i, j in vs if (i, j - 1) not in vs and (i - 1, j) not in vs))
+    sinks = tuple(sorted((i, j) for i, j in vs if (i, j + 1) not in vs and (i + 1, j) not in vs))
+    return sources, sinks
+
+
+def ss_essential(I: Interval) -> tuple[Vertex, ...]:
+    """Sources and sinks of I, sorted; sources and sinks of a staircase
+    are always distinct vertices of the form (i, b_i) and (i, d_i)."""
+    sources, sinks = sources_and_sinks(I)
+    return tuple(sorted(set(sources + sinks)))
 
 
 def cc_essential(I: Interval) -> tuple[Vertex, ...]:

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from gridpersist import compression, grid
 from gridpersist.cli import build_parser, main
 from gridpersist.pmod import parse_pmod
 
@@ -143,6 +144,20 @@ class TestVerify:
         assert code == 0
         assert out.startswith("PASS rank invariant preserved")
         assert "(1 2 1 / 0 1 1)" in out
+
+    def test_builds_one_path_map_table(self, example_file, capsys, monkeypatch):
+        built = []
+        build = grid.path_map_table
+
+        def counted(module):
+            built.append(module)
+            return build(module)
+
+        monkeypatch.setattr(grid, "path_map_table", counted)
+        monkeypatch.setattr(compression, "path_map_table", counted)
+        code, out, _ = run_cli(capsys, "verify", example_file)
+        assert code == 0 and out.startswith("PASS")
+        assert len(built) == 1
 
     def test_random_interval_sum_passes(self, tmp_path, capsys):
         path = tmp_path / "sum.pmod"

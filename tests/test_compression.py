@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridpersist import compression
+from gridpersist import compression, grid
 from gridpersist.compression import (
     ARROW,
     ONE_SOURCE_TWO_SINKS,
@@ -34,13 +34,15 @@ from gridpersist.grid import (
     path_map_table,
     rank_invariant,
 )
-from gridpersist.intervals import Interval, enumerate_intervals, leq
+from gridpersist.intervals import Interval, enumerate_intervals
 from oracles import (
     QuiverRep,
     almost_split_fixtures,
     block_multiplicity,
     hom_dim,
     hom_multiplicity,
+    is_rectangle,
+    leq,
     naive_rank,
     restrict,
     ss_interval_rep,
@@ -129,10 +131,9 @@ class TestAgainstHomOracle:
         rng = make_rng(200 + p)
         for _ in range(6):
             m = random_module(4, 3, FieldSpec(p), rng)
-            table = path_map_table(m)
             f = compressed_multiplicity_function(m)
             for I in enumerate_intervals(2, 4):
-                assert f[I] == hom_multiplicity(m, table, I), I.to_string()
+                assert f[I] == hom_multiplicity(m, I), I.to_string()
 
     def test_each_shape_covered(self):
         kinds = {classify_ss(I).kind for I in enumerate_intervals(2, 4)}
@@ -239,13 +240,35 @@ class TestImageChain:
                     for gaps in ([(1, 3)], [(2, 4)], [(1, 2), (2, 2), (1, 5)], [(2, 1), (2, 6)])]
         for m in modules:
             table = path_map_table(m)
-            rect = compression._GroupedRanks(m, table).rect
+            rect = compression._GroupedRanks(m).rect
             for (i, j) in m.grid.vertices():
                 want = [0] + [naive_rank(table[((i, b), (i, j))].tolist(), p) for b in range(1, j + 1)]
                 assert rect[(i, j)] == want, (i, j)
         # the case of interest occurs: a zero space between nonzero ones on a row
         assert any(m.dims[(i, j)] == 0 and m.dims[(i, j - 1)] and m.dims[(i, j + 1)]
                    for m in modules for i in (1, 2) for j in range(2, 6))
+
+
+class TestArrowsOnly:
+    """The grouped ranks multiply by single arrows: no path-map table."""
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    def test_builds_no_path_map_table(self, p, monkeypatch):
+        rng = make_rng(900 + p)
+        field = FieldSpec(p)
+        modules = [random_module(5, d, field, rng) for d in (0, 2, 4)]
+        # zero spaces mid-row and at the ends of a row
+        modules += [module_with_gaps(6, 8, gaps, field, rng)
+                    for gaps in ([(1, 3)], [(2, 4)], [(1, 1), (2, 6)], [(2, 1), (1, 6)])]
+        want = [{I: block_multiplicity(path_map_table(m), I) for I in enumerate_intervals(2, m.grid.n)}
+                for m in modules]
+
+        def refuse(module):
+            raise AssertionError("compression built a path-map table")
+
+        monkeypatch.setattr(grid, "path_map_table", refuse)
+        monkeypatch.setattr(compression, "path_map_table", refuse)
+        assert [compressed_multiplicity_function(m) for m in modules] == want
 
 
 class TestStructuralProperties:
@@ -282,7 +305,7 @@ class TestStructuralProperties:
         ranks = rank_invariant(m)
         f = compressed_multiplicity_function(m)
         for I in enumerate_intervals(2, 5):
-            if I.is_rectangle():
+            if is_rectangle(I):
                 shape = classify_ss(I)
                 assert f[I] == ranks[(shape.src, shape.dst)]
 
@@ -296,7 +319,7 @@ class TestRestriction:
     def test_uses_path_maps(self):
         m = example_module()
         table = path_map_table(m)
-        rep = restrict(m, table, [(1, 2), (2, 3)], [((1, 2), (2, 3))])
+        rep = restrict(m, [(1, 2), (2, 3)], [((1, 2), (2, 3))])
         assert rep.dims == (1, 1)
         assert rep.mats[0] == table[((1, 2), (2, 3))]
         assert rep.labels == ((1, 2), (2, 3))
@@ -304,23 +327,22 @@ class TestRestriction:
     def test_duplicate_vertex_rejected(self):
         m = example_module()
         with pytest.raises(ValueError):
-            restrict(m, path_map_table(m), [(1, 1), (1, 1)], [])
+            restrict(m, [(1, 1), (1, 1)], [])
 
     def test_arrow_outside_vertex_set_rejected(self):
         m = example_module()
         with pytest.raises(ValueError):
-            restrict(m, path_map_table(m), [(1, 1)], [((1, 1), (1, 2))])
+            restrict(m, [(1, 1)], [((1, 1), (1, 2))])
 
     def test_decreasing_arrow_rejected(self):
         m = example_module()
         with pytest.raises(ValueError):
-            restrict(m, path_map_table(m), [(1, 1), (1, 2)], [((1, 2), (1, 1))])
+            restrict(m, [(1, 1), (1, 2)], [((1, 2), (1, 1))])
 
     def test_ss_restrict_orders_roles(self):
         m = example_module()
-        table = path_map_table(m)
         I = iv("1..2:[2,3];[1,2]")
-        rep = ss_restrict(m, table, I)
+        rep = ss_restrict(m, I)
         assert rep.labels == ((1, 2), (2, 1), (1, 3), (2, 2))
         assert rep.dims == (1, 1, 1, 2)
 
@@ -329,7 +351,7 @@ class TestHomDim:
     def test_interval_rep_endomorphisms(self):
         for text in ["1..1:[1,1]", "1..1:[1,2]", "1..2:[1,2];[1,2]",
                      "1..2:[2,3];[1,3]", "1..2:[1,3];[1,2]", "1..2:[2,3];[1,2]"]:
-            rep = ss_interval_rep(classify_ss(iv(text)), 2)
+            rep = ss_interval_rep(iv(text), 2)
             assert hom_dim(rep, rep) == 1
 
     def test_arrow_quiver_known_values(self):
@@ -365,29 +387,29 @@ class TestHomDim:
 
 class TestAlmostSplitFixtures:
     def test_shapes(self):
-        shape = classify_ss(iv("1..2:[2,3];[1,2]"))
-        B, C = almost_split_fixtures(shape, 5)
+        I = iv("1..2:[2,3];[1,2]")
+        B, C = almost_split_fixtures(I, 5)
         assert B.dims == (2, 1, 1, 1)
         assert C.dims == (1, 0, 0, 0)
         assert [m.tolist() for m in B.mats] == [[[1]], [[1, 0]], [[0, 1]]]
 
     def test_only_for_two_sources_two_sinks(self):
         with pytest.raises(ValueError):
-            almost_split_fixtures(classify_ss(iv("1..1:[1,1]")), 2)
+            almost_split_fixtures(iv("1..1:[1,1]"), 2)
 
     def test_sequence_dimensions_balance(self):
         # middle term dims = interval dims + end term dims, vertexwise
-        shape = classify_ss(iv("1..2:[2,3];[1,2]"))
-        B, C = almost_split_fixtures(shape, 2)
-        Ip = ss_interval_rep(shape, 2)
+        I = iv("1..2:[2,3];[1,2]")
+        B, C = almost_split_fixtures(I, 2)
+        Ip = ss_interval_rep(I, 2)
         assert B.dims == tuple(i + c for i, c in zip(Ip.dims, C.dims))
 
     def test_interval_maps_into_middle_term(self):
         # the inclusion plus the factoring of the corner give a
         # 2-dimensional hom space; nothing maps back onto the interval
-        shape = classify_ss(iv("1..2:[2,3];[1,2]"))
-        B, C = almost_split_fixtures(shape, 2)
-        Ip = ss_interval_rep(shape, 2)
+        I = iv("1..2:[2,3];[1,2]")
+        B, C = almost_split_fixtures(I, 2)
+        Ip = ss_interval_rep(I, 2)
         assert hom_dim(Ip, B) == 2
         assert hom_dim(B, Ip) == 0
         assert hom_dim(C, Ip) == 0

@@ -25,7 +25,6 @@ from gridpersist.ffmat import (
     block2x2,
     hstack,
     kernel_basis,
-    kernel_bases,
     mat_inv,
     mat_mul,
     mat_rank,
@@ -98,7 +97,7 @@ class TestRank:
     @given(matrices)
     @settings(max_examples=100, deadline=None)
     def test_transpose_invariance(self, a):
-        assert mat_rank(a) == mat_rank(a.T)
+        assert mat_rank(a) == mat_rank(FFMatrix(a.data.T, a.p))
 
     def test_gf2_packed_equals_generic_path(self):
         rng = np.random.default_rng(2024)
@@ -256,31 +255,14 @@ class TestStack:
             assert piv[k].max(initial=-1) < a.rows
         assert mat_ranks(mats) == [len(pivot_columns(a)) for a in mats]
 
-    @pytest.mark.parametrize("p", [2, 3, 65521])
-    def test_kernel_bases_match_lone(self, p):
-        rng = np.random.default_rng(p)
-        mats = [FFMatrix.zeros(0, 70, p)]
-        for rows in (1, 4, 9, 30):
-            rank = int(rng.integers(0, rows + 1))
-            mats.append(mat_mul(rand_mat(rng, rows, rank, p), rand_mat(rng, rank, 70, p)))
-        bases = kernel_bases(mats)
-        assert bases == [kernel_basis(a) for a in mats]
-        for a, k in zip(mats, bases):
-            assert k.cols == 70 - naive_rank(a.tolist(), p)
-            assert mat_mul(a, k) == FFMatrix.zeros(a.rows, k.cols, p)
-
-    def test_kernel_bases_need_one_column_count(self):
-        with pytest.raises(ShapeError):
-            kernel_bases([FFMatrix.zeros(2, 3, 2), FFMatrix.zeros(2, 4, 2)])
-
     @pytest.mark.parametrize("p", [2, 65521])
     def test_batches_split_anywhere(self, p, monkeypatch):
         rng = np.random.default_rng(p + 1)
         mats = [rand_mat(rng, int(rng.integers(0, 6)), 9, p) for _ in range(11)]
-        whole = (mat_ranks(mats), kernel_bases(mats))
+        whole = mat_ranks(mats)
         monkeypatch.setattr(ffmat, "_BATCH", 4)
-        assert (mat_ranks(mats), kernel_bases(mats)) == whole
-        assert whole[0] == [naive_rank(a.tolist(), p) for a in mats]
+        assert mat_ranks(mats) == whole
+        assert whole == [naive_rank(a.tolist(), p) for a in mats]
 
 
 class TestMul:
@@ -307,11 +289,11 @@ class TestMul:
 
     @pytest.mark.parametrize("p", [2, 65521])
     def test_transposed_and_reversed_operands(self, p):
-        # F-ordered and negative-stride data, as FFMatrix.T and row reversal make
+        # F-ordered and negative-stride data, as transposes and row reversal make
         rng = np.random.default_rng(p)
         a = rand_mat(rng, 40, 30, p)
         b = rand_mat(rng, 40, 20, p)
-        for x, y in ((a.T, b), (FFMatrix._wrap(a.data[::-1], p).T, b.T.T),
+        for x, y in ((FFMatrix(a.data.T, p), b), (FFMatrix(a.data[::-1].T, p), b),
                      (FFMatrix._wrap(a.data.T[:, ::-1], p), FFMatrix._wrap(b.data[::-1, ::-2], p))):
             assert mat_mul(x, y).tolist() == naive_mul(x.tolist(), y.tolist(), p)
 
@@ -365,6 +347,18 @@ class TestKernel:
         assert k.cols == a.cols - mat_rank(a)
         assert mat_rank(k) == k.cols
         assert mat_mul(a, k) == FFMatrix.zeros(a.rows, k.cols, a.p)
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    def test_wide_kernels_of_every_rank(self, p):
+        rng = np.random.default_rng(p)
+        mats = [FFMatrix.zeros(0, 70, p)]
+        for rows in (1, 4, 9, 30):
+            rank = int(rng.integers(0, rows + 1))
+            mats.append(mat_mul(rand_mat(rng, rows, rank, p), rand_mat(rng, rank, 70, p)))
+        for a in mats:
+            k = kernel_basis(a)
+            assert k.cols == 70 - naive_rank(a.tolist(), p)
+            assert mat_mul(a, k) == FFMatrix.zeros(a.rows, k.cols, p)
 
     def test_full_rank_has_trivial_kernel(self):
         assert kernel_basis(FFMatrix.identity(4, 3)).cols == 0

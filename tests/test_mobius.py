@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import gridpersist
-from gridpersist.intervals import Interval, covers, enumerate_intervals, join_covers, leq
+from gridpersist.intervals import Interval, enumerate_intervals
 from gridpersist.mobius import _mobius_operator, mobius_invert, mu_prime
-from oracles import brute_force_mobius, cover_sum_inversion, zeta_act
+from oracles import brute_force_mobius, cover_sum_inversion, covers, join_covers, leq, zeta_act
 
 iv = Interval.from_string
 
