@@ -71,15 +71,8 @@ def cmd_intervals(args) -> int:
     return 0
 
 
-def _require_low_grid(module) -> None:
-    if module.grid.m > 2:
-        print(f"error: grid height {module.grid.m} > 2 is not supported", file=sys.stderr)
-        raise SystemExit(PARSE_ERROR)
-
-
 def cmd_compress(args) -> int:
     module = _read_module(args.input)
-    _require_low_grid(module)
     f = compressed_multiplicity_function(module)
     _write_output(format_interval_function(f), args.output)
     return 0
@@ -87,7 +80,6 @@ def cmd_compress(args) -> int:
 
 def cmd_approx(args) -> int:
     module = _read_module(args.input)
-    _require_low_grid(module)
     approx = interval_approximation(module)
     _write_output(format_signed_sum(approx.coeffs), args.output)
     return 0
@@ -95,7 +87,6 @@ def cmd_approx(args) -> int:
 
 def cmd_verify(args) -> int:
     module = _read_module(args.input)
-    _require_low_grid(module)
     approx = interval_approximation(module)
     ranks = rank_invariant(module)
     for (src, dst), r in ranks.items():

@@ -66,8 +66,8 @@ and one per sink of row 2, by three exact identities:
 With rev(U) the rows of U reversed, the rank profiles of rev(U) and of
 [H ; rev(U)] for each t1 = (1, d1), d1 > j, give every pair and triple
 value of the sink t.  So a 2 x n module takes n image eliminations, each
-a stack of the X of both rows, and n profile stacks, split only past
-_BATCH members.
+a stack of the X of both rows, and the profile members of n sinks, which
+ffmat.stack_pivots stacks and splits like every other batch.
 
 Every matrix multiplied takes one arrow at a time: f is the horizontal
 arrow into t, M(s -> t) is the vertical arrow at s, and H is chained
@@ -81,7 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ffmat import FFMatrix, Stack, mat_mul
+from .ffmat import FFMatrix, Stack, mat_mul, stack_pivots
 from .grid import PersistenceModule
 from .intervals import Interval, Vertex, enumerate_intervals
 
@@ -140,10 +140,6 @@ def classify_ss(I: Interval) -> SsShape:
     )
 
 
-# members per profile stack; bounds the scratch of one elimination
-_BATCH = 64
-
-
 def _profile(piv: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """counts[k, m] = rank Y[:rows[k], :m] for m = 0..cols, from the pivot
     rows piv (-1 for none) of one member Y of an eliminated stack."""
@@ -195,7 +191,7 @@ class _GroupedRanks:
                 self._sink_ranks(module, j, FFMatrix._wrap(lmat, p), bases[1])
 
     def _sink_ranks(self, module: PersistenceModule, j: int, lmat: FFMatrix, v1: FFMatrix):
-        """pair and triple of the sink t = (2, j), from one profile stack.
+        """pair and triple of the sink t = (2, j), from the rank profiles of its members.
 
         lmat is the L of t and v1 the basis V of s = (1, j).  With
         U = L M(s -> t) V1 and H = M(s -> (1, d1)) V1, the members are
@@ -212,20 +208,16 @@ class _GroupedRanks:
         heights = [0] + [dims[(1, d1)] for d1 in ends]
         c = np.array(self.rect[t][:j])
         c1 = self.rect[s][1:]
-        for lo in range(0, len(members), _BATCH):
-            stack = Stack(min(_BATCH, len(members) - lo), dims[t] + max(heights[lo:lo + _BATCH]), dims[s], p)
-            for k, y in enumerate(members[lo:lo + _BATCH]):
-                stack[k] = y
-            for k, piv in enumerate(stack.eliminate(), lo):
-                h = heights[k]
-                counts = _profile(piv, np.concatenate(([h], h + dims[t] - c)))
-                # c + rank [H ; U[c:]][:, :c1] - rank H[:, :c1], H empty for B;
-                # row b1 - 1 holds the values of s1 = (1, b1)
-                rows = (c[:, None] + counts[1:, c1] - counts[0, c1]).T.tolist()
-                if k == 0:
-                    self.pair.update((((1, b1), t), r[:b1]) for b1, r in enumerate(rows, 1))
-                else:
-                    self.triple.update((((1, b1), (1, j + k), t), r[:b1]) for b1, r in enumerate(rows, 1))
+        for k, piv in enumerate(stack_pivots(members, p)):
+            h = heights[k]
+            counts = _profile(piv, np.concatenate(([h], h + dims[t] - c)))
+            # c + rank [H ; U[c:]][:, :c1] - rank H[:, :c1], H empty for B;
+            # row b1 - 1 holds the values of s1 = (1, b1)
+            rows = (c[:, None] + counts[1:, c1] - counts[0, c1]).T.tolist()
+            if k == 0:
+                self.pair.update((((1, b1), t), r[:b1]) for b1, r in enumerate(rows, 1))
+            else:
+                self.triple.update((((1, b1), (1, j + k), t), r[:b1]) for b1, r in enumerate(rows, 1))
 
     def value(self, I: Interval) -> int:
         shape = classify_ss(I)

@@ -13,10 +13,12 @@ whole stack, so a stack of many small matrices costs about as many
 calls as one.  Rows are never swapped; each member tracks its free
 rows, and the core returns the row holding each column's pivot.  The
 loop ends once every row of every member holds a pivot.  For p = 2
-rows are packed into 64-bit words and eliminated with XOR; for other p
-entries are uint32 and pivot rows are scaled by a table of inverses.
-The single-matrix functions pass a stack of one; mat_ranks stacks many
-matrices at a time.
+rows are packed into 64-bit words and eliminated with XOR, and the core
+reads the live bits of each word to find its pivot columns; for other p
+entries are uint32, pivot rows are scaled by a table of inverses, and
+the core walks the columns in order.  stack_pivots batches matrices for
+pivot_columns, mat_ranks and compression; kernel_basis and mat_inv read
+a reduced form, so they eliminate a stack of one.
 
 The pivot rows give the rank profile of every member Y (Dumas, Pernet
 & Sultan, J. Symbolic Comput. 2017):
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -166,7 +168,7 @@ def mat_mul(a: FFMatrix, b: FFMatrix) -> FFMatrix:
     return FFMatrix._wrap(prod % p, p)
 
 
-# members per stack in the batched helpers; bounds the scratch of one elimination
+# members per stack in stack_pivots; bounds the scratch of one elimination
 _BATCH = 64
 
 
@@ -273,24 +275,20 @@ def _inverses(p: int) -> np.ndarray:
 def _echelon_gfp(a: np.ndarray, p: int) -> np.ndarray:
     """The GF(p) core on a (count, rows, cols) uint32 stack.
 
-    Like the GF(2) core it visits only live columns, found 64 at a time.
-    Entries stay in [0, p) and p < 2**16, so an update adds at most
-    p (p - 1) to an entry below p and never leaves uint32.
+    It walks the columns in order and skips one with no nonzero on a
+    free row.  Entries stay in [0, p) and p < 2**16, so an update adds
+    at most p (p - 1) to an entry below p and never leaves uint32.
     """
     count, rows, cols = a.shape
     piv = np.full((count, cols), -1, dtype=np.int64)
     free = np.ones((count, rows), dtype=bool)
     members = np.arange(count)
     inverse = _inverses(p)
-    c = 0
-    while c < cols and free.any():
-        live = (a[:, :, c:c + 64] != 0)[free].any(axis=0)
-        if not live.any():
-            c += 64
-            continue
-        c += int(live.argmax())
+    for c in range(cols):
         col = a[:, :, c]
         cand = free & (col != 0)
+        if not cand.any():
+            continue
         r = cand.argmax(axis=1)
         found = cand[members, r]
         # the unit pivot row, or a zero row for a member without a pivot here
@@ -305,21 +303,25 @@ def _echelon_gfp(a: np.ndarray, p: int) -> np.ndarray:
         a[hb, hr, c:] = (a[hb, hr, c:] + gain[:, None] * prow[hb]) % p
         free[members, r] ^= found
         piv[:, c] = np.where(found, r, -1)
-        c += 1
+        if not free.any():
+            break
     return piv
 
 
-def _stack_of(mats: Sequence[FFMatrix], p: int) -> Stack:
-    """The matrices as one stack, zero-padded to the largest rows and columns."""
-    stack = Stack(len(mats), max(a.rows for a in mats), max(a.cols for a in mats), p)
-    for k, a in enumerate(mats):
-        stack[k] = a.data
-    return stack
+def stack_pivots(members: Sequence[np.ndarray], p: int) -> Iterator[np.ndarray]:
+    """Pivot rows of each matrix, with entries in [0, p), in order; the
+    matrices are eliminated _BATCH at a time, zero-padded to one shape."""
+    for lo in range(0, len(members), _BATCH):
+        batch = members[lo:lo + _BATCH]
+        stack = Stack(len(batch), max(y.shape[0] for y in batch), max(y.shape[1] for y in batch), p)
+        for k, y in enumerate(batch):
+            stack[k] = y
+        yield from stack.eliminate()
 
 
 def pivot_columns(a: FFMatrix) -> list[int]:
     """Ascending pivot columns of an echelon form of a; those below c number rank a[:, :c]."""
-    return np.flatnonzero(_stack_of([a], a.p).eliminate()[0] >= 0).tolist()
+    return np.flatnonzero(next(stack_pivots([a.data], a.p)) >= 0).tolist()
 
 
 def mat_rank(a: FFMatrix) -> int:
@@ -328,15 +330,11 @@ def mat_rank(a: FFMatrix) -> int:
 
 
 def mat_ranks(mats: Sequence[FFMatrix]) -> list[int]:
-    """Ranks of matrices over one field, as zero-padded stacks of _BATCH."""
+    """Ranks of matrices over one field, eliminated by stack_pivots."""
     if not mats:
         return []
-    p = _check_same_p(*mats)
-    out: list[int] = []
-    for lo in range(0, len(mats), _BATCH):
-        piv = _stack_of(mats[lo:lo + _BATCH], p).eliminate()
-        out += np.count_nonzero(piv >= 0, axis=1).tolist()
-    return out
+    pivots = stack_pivots([a.data for a in mats], _check_same_p(*mats))
+    return [int(np.count_nonzero(piv >= 0)) for piv in pivots]
 
 
 def _kernel(form: np.ndarray, piv: np.ndarray, p: int) -> FFMatrix:
@@ -355,9 +353,10 @@ def kernel_basis(a: FFMatrix) -> FFMatrix:
     Columns follow the free columns they belong to, so the result is
     deterministic; a @ kernel_basis(a) is zero and k = cols - rank(a).
     """
-    stack = _stack_of([a], a.p)
-    piv = stack.eliminate()
-    return _kernel(stack.reduced()[0], piv[0], a.p)
+    stack = Stack(1, a.rows, a.cols, a.p)
+    stack[0] = a.data
+    piv = stack.eliminate()[0]
+    return _kernel(stack.reduced()[0], piv, a.p)
 
 
 def mat_inv(a: FFMatrix) -> FFMatrix:

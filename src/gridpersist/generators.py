@@ -20,7 +20,7 @@ from .ffmat import (
     random_invertible,
     random_matrix,
 )
-from .grid import Grid, PersistenceModule, conjugate, direct_sum, interval_module
+from .grid import Grid, PersistenceModule, conjugate
 from .intervals import Interval, enumerate_intervals
 
 
@@ -84,12 +84,13 @@ def random_interval_decomposable(
     grid = Grid(m, n)
     intervals = enumerate_intervals(m, n)
     picks = [intervals[int(rng.integers(0, len(intervals)))] for _ in range(k)]
-    if picks:
-        module = interval_module(grid, picks[0], field)
-        for I in picks[1:]:
-            module = direct_sum(module, interval_module(grid, I, field))
-    else:
-        module = PersistenceModule(grid, field, {v: 0 for v in grid.vertices()})
+    # a vertex has one basis vector per pick holding it, in pick order,
+    # and an arrow sends each pick's vector to the same pick's vector
+    held = [I.vertices() for I in picks]
+    at = {v: np.array([x for x, vs in enumerate(held) if v in vs], dtype=np.int64) for v in grid.vertices()}
+    hmaps = {v: FFMatrix(np.equal.outer(at[(v[0], v[1] + 1)], at[v]), field.p) for v in grid.harrows()}
+    vmaps = {v: FFMatrix(np.equal.outer(at[(v[0] + 1, v[1])], at[v]), field.p) for v in grid.varrows()}
+    module = PersistenceModule(grid, field, {v: len(at[v]) for v in at}, hmaps, vmaps)
     if disguise:
         bases = {v: random_invertible(module.dims[v], field, rng) for v in grid.vertices()}
         module = conjugate(module, bases)

@@ -155,13 +155,9 @@ def path_map_table(module: PersistenceModule) -> dict[tuple[Vertex, Vertex], FFM
                 j2 = j1 + dist - (i2 - i1)
                 if j2 < j1 or j2 > g.n:
                     continue
-                dst = (i2, j2)
-                if j2 > j1:
-                    last = module.hmaps[(i2, j2 - 1)]
-                    table[(src, dst)] = mat_mul(last, table[(src, (i2, j2 - 1))])
-                else:
-                    last = module.vmaps[(i2 - 1, j2)]
-                    table[(src, dst)] = mat_mul(last, table[(src, (i2 - 1, j2))])
+                # the last arrow of the path, keyed by its foot
+                arrows, foot = (module.hmaps, (i2, j2 - 1)) if j2 > j1 else (module.vmaps, (i2 - 1, j2))
+                table[(src, (i2, j2))] = mat_mul(arrows[foot], table[(src, foot)])
     return table
 
 

@@ -103,7 +103,8 @@ def interval_contains_rectangle(I: Interval, src: Vertex, dst: Vertex) -> bool:
 
 @lru_cache(maxsize=None)
 def enumerate_intervals(m: int, n: int) -> tuple[Interval, ...]:
-    """All intervals of the m x n grid in canonical (s, t, rows) order."""
+    """All intervals of the m x n grid in canonical (s, t, rows) order,
+    which the depth-first walk yields directly: b runs outside d."""
     if m < 1 or n < 1:
         raise ValueError(f"grid sizes must be positive: {m} x {n}")
     out: list[Interval] = []
@@ -113,8 +114,8 @@ def enumerate_intervals(m: int, n: int) -> tuple[Interval, ...]:
             yield tuple(rows)
             return
         b_prev, d_prev = rows[-1]
-        for d in range(b_prev, d_prev + 1):
-            for b in range(1, b_prev + 1):
+        for b in range(1, b_prev + 1):
+            for d in range(b_prev, d_prev + 1):
                 rows.append((b, d))
                 yield from extend(rows, remaining - 1)
                 rows.pop()
@@ -125,7 +126,6 @@ def enumerate_intervals(m: int, n: int) -> tuple[Interval, ...]:
                 for d in range(b, n + 1):
                     for rows in extend([(b, d)], t - s):
                         out.append(Interval(s, t, rows))
-    out.sort()
     return tuple(out)
 
 

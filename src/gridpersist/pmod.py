@@ -60,6 +60,14 @@ def _is_natural(word: str) -> bool:
     return word.isascii() and word.isdigit()
 
 
+def _ints(words: list[str], lineno: int) -> list[int]:
+    """The words as integers; one too long for int() is a PmodError at lineno."""
+    try:
+        return list(map(int, words))
+    except ValueError:
+        raise PmodError(f"integer of {max(map(len, words))} characters is too long", lineno) from None
+
+
 def parse_pmod(text: str) -> PersistenceModule:
     """Parse a PMOD document into a validated persistence module.
 
@@ -111,7 +119,7 @@ def parse_pmod(text: str) -> PersistenceModule:
         if words[0] == "dim":
             if len(words) != 4 or not all(map(_is_natural, words[1:])):
                 raise PmodError("expected 'dim <i> <j> <k>'", lineno)
-            i, j, k = (int(w) for w in words[1:])
+            i, j, k = _ints(words[1:], lineno)
             if not in_grid(i, j):
                 raise PmodError(f"vertex ({i}, {j}) outside the {grid.m} x {grid.n} grid", lineno)
             if (i, j) in dims:
@@ -122,7 +130,7 @@ def parse_pmod(text: str) -> PersistenceModule:
         elif words[0] == "map":
             if len(words) != 4 or words[1] not in ("h", "v") or not all(map(_is_natural, words[2:])):
                 raise PmodError("expected 'map h|v <i> <j>'", lineno)
-            kind, i, j = words[1], int(words[2]), int(words[3])
+            kind, (i, j) = words[1], _ints(words[2:], lineno)
             src = (i, j)
             dst = (i, j + 1) if kind == "h" else (i + 1, j)
             if not (in_grid(*src) and in_grid(*dst)):
@@ -140,7 +148,7 @@ def parse_pmod(text: str) -> PersistenceModule:
                 if _ENTRY_ROW.fullmatch(" ".join(entries)) is None:
                     bad = next(w for w in entries if not _is_natural(w.removeprefix("-")))
                     raise PmodError(f"bad matrix entry {bad!r}", rowline)
-                vals = list(map(int, entries))
+                vals = _ints(entries, rowline)
                 if len(vals) != cols:
                     raise PmodError(f"expected {cols} entries, got {len(vals)}", rowline)
                 if min(vals) < 0 or max(vals) >= field.p:
@@ -157,25 +165,13 @@ def parse_pmod(text: str) -> PersistenceModule:
     if missing is not None:
         raise PmodError(f"missing dimension for vertex {missing}")
 
-    hmaps = {}
-    vmaps = {}
-    for v in grid.harrows():
-        w = (v[0], v[1] + 1)
-        key = ("h", *v)
-        if dims[v] and dims[w]:
-            if key not in maps:
-                raise PmodError(f"missing map block for h {v}")
-            hmaps[v] = maps.pop(key)
-    for v in grid.varrows():
-        w = (v[0] + 1, v[1])
-        key = ("v", *v)
-        if dims[v] and dims[w]:
-            if key not in maps:
-                raise PmodError(f"missing map block for v {v}")
-            vmaps[v] = maps.pop(key)
-    if maps:
-        kind, i, j = next(iter(maps))
-        raise PmodError(f"map block for zero-dimensional arrow {kind} ({i}, {j})")
+    # every block has endpoints of positive dimension, checked at its line
+    for kind, feet, (di, dj) in (("h", grid.harrows(), (0, 1)), ("v", grid.varrows(), (1, 0))):
+        for i, j in feet:
+            if dims[(i, j)] and dims[(i + di, j + dj)] and (kind, i, j) not in maps:
+                raise PmodError(f"missing map block for {kind} {(i, j)}")
+    hmaps = {(i, j): a for (kind, i, j), a in maps.items() if kind == "h"}
+    vmaps = {(i, j): a for (kind, i, j), a in maps.items() if kind == "v"}
 
     module = PersistenceModule(grid, field, dims, hmaps, vmaps)
     bad = validate(module)

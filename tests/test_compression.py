@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridpersist import compression, grid
+from gridpersist import compression, ffmat, grid
 from gridpersist.compression import (
     ARROW,
     ONE_SOURCE_TWO_SINKS,
@@ -177,7 +177,7 @@ class TestAgainstBlockForms:
         rng = make_rng(600)
         modules = [random_module(5, 3, FieldSpec(p), rng) for p in (2, 3, 65521)]
         whole = [compressed_multiplicity_function(m) for m in modules]
-        monkeypatch.setattr(compression, "_BATCH", batch)
+        monkeypatch.setattr(ffmat, "_BATCH", batch)
         assert [compressed_multiplicity_function(m) for m in modules] == whole
 
 

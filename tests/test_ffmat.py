@@ -179,6 +179,46 @@ def prefix_cuts(n):
     return sorted({c for c in (0, 1, 2, 31, 62, 63, 64, 65, 66, 127, 128, 129) if c <= n} | {n})
 
 
+def walked_echelon(arr, p):
+    """Pivot rows and reduced form of one matrix by a plain walk over every
+    column: the topmost free row with a nonzero becomes a unit pivot row
+    and clears the column in every other row."""
+    form = np.array(arr, dtype=np.int64) % p
+    rows, cols = form.shape
+    piv, free = [-1] * cols, [True] * rows
+    for c in range(cols):
+        r = next((r for r in range(rows) if free[r] and form[r, c]), None)
+        if r is None:
+            continue
+        form[r] = form[r] * pow(int(form[r, c]), -1, p) % p
+        others = np.arange(rows) != r
+        form[others] = (form[others] - np.outer(form[others, c], form[r])) % p
+        piv[c], free[r] = r, False
+    return piv, form
+
+
+def dead_column_members(rng, p):
+    """Matrices whose columns hold no pivot in runs across 64-column edges:
+    63, 64 or 65 leading zero columns, zero columns 64..128 between
+    columns with pivots, and full-rank members that run out of free rows
+    at columns about 3, 68 and 110."""
+    mats = []
+    for lead in (63, 64, 65):
+        a = np.zeros((20, lead + 70), dtype=np.int64)
+        a[:, lead:] = sparse_low_rank(rng, 20, 70, 12, p)
+        a[int(rng.integers(20)), lead] = 1
+        mats.append(a)
+    gap = np.zeros((40, 160), dtype=np.int64)
+    gap[:, :64] = sparse_low_rank(rng, 40, 64, 20, p)
+    gap[:, 129:] = rng.integers(0, p, size=(40, 31))
+    mats.append(gap)
+    for rows, lead in ((3, 0), (10, 58), (40, 70)):
+        a = np.zeros((rows, 150), dtype=np.int64)
+        a[:, lead:] = rng.integers(0, p, size=(rows, 150 - lead))
+        mats.append(a)
+    return mats
+
+
 class TestRankProfile:
     """rank Y[:r, :m] = #{c < m : 0 <= piv[c] < r}: the cores pivot on the
     topmost free row, so the first r rows take the pivots they would take
@@ -228,6 +268,44 @@ class TestRankProfile:
             for r in prefix_cuts(a.shape[0]):
                 for m in prefix_cuts(a.shape[1]):
                     assert profile_ranks(piv, r, m) == naive_rank([row[:m] for row in body[:r]], p)
+
+
+    @pytest.mark.parametrize("p", [3, 65521])
+    def test_dead_column_runs(self, p):
+        mats = dead_column_members(np.random.default_rng(p), p)
+        stack = Stack(len(mats), max(a.shape[0] for a in mats), max(a.shape[1] for a in mats), p)
+        for k, a in enumerate(mats):
+            stack[k] = a
+        for a, piv, form in zip(mats, stack.eliminate(), stack.reduced()):
+            rows, cols = a.shape
+            want_piv, want_form = walked_echelon(a, p)
+            lone_piv, lone_form = generic_reduced(a, p)
+            assert piv[:cols].tolist() == lone_piv.tolist() == want_piv
+            assert (piv[cols:] < 0).all()
+            assert np.array_equal(form[:rows, :cols], want_form)
+            assert np.array_equal(lone_form, want_form)
+            body = a.tolist()
+            for r in prefix_cuts(rows):
+                for m in prefix_cuts(cols):
+                    assert profile_ranks(piv, r, m) == naive_rank([row[:m] for row in body[:r]], p)
+
+    @pytest.mark.parametrize("p", [3, 65521])
+    def test_dead_column_runs_through_kernel_and_inverse(self, p):
+        rng = np.random.default_rng(p + 3)
+        for arr in dead_column_members(rng, p):
+            a = FFMatrix(arr, p)
+            k = kernel_basis(a)
+            assert k.shape == (a.cols, a.cols - naive_rank(arr.tolist(), p))
+            assert not mat_mul(a, k).data.any()
+            assert naive_rank(k.tolist(), p) == k.cols
+        # [a | I] runs out of free rows at column n, halfway through
+        for n in (63, 64, 65, 129):
+            a = random_invertible(n, FieldSpec(p), rng)
+            assert mat_mul(mat_inv(a), a) == FFMatrix.identity(n, p)
+            dead = a.data.copy()
+            dead[:, n // 2] = 0
+            with pytest.raises(ShapeError):
+                mat_inv(FFMatrix(dead, p))
 
 
 class TestStack:

@@ -6,7 +6,7 @@ import pytest
 
 from gridpersist.approximation import interval_approximation
 from gridpersist.compression import compressed_multiplicity_function
-from gridpersist.ffmat import GF2, FieldSpec
+from gridpersist.ffmat import GF2, FieldSpec, random_invertible
 from gridpersist.generators import (
     example_module,
     make_rng,
@@ -14,7 +14,19 @@ from gridpersist.generators import (
     random_module,
     staircase_family_module,
 )
-from gridpersist.grid import dimension_vector, format_dimvec, rank_invariant, validate
+from gridpersist.grid import (
+    Grid,
+    PersistenceModule,
+    conjugate,
+    dimension_vector,
+    direct_sum,
+    format_dimvec,
+    interval_module,
+    rank_invariant,
+    validate,
+)
+from gridpersist.intervals import enumerate_intervals
+from gridpersist.pmod import print_pmod
 from oracles import contains_vertex
 
 
@@ -70,6 +82,26 @@ class TestRandomIntervalDecomposable:
         assert all(d == 0 for d in m.dims.values())
         assert all(c == 0 for c in mult.values())
         assert not interval_approximation(m).coeffs
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 65521])
+    @pytest.mark.parametrize("disguise", [False, True])
+    def test_equals_fold_of_direct_sums(self, p, disguise):
+        # the same picks and bases as the generator, from the same stream
+        field = FieldSpec(p)
+        for m, n, k in [(1, 4, 0), (2, 3, 6), (3, 3, 10), (2, 6, 40), (1, 1, 3)]:
+            module, mult = random_interval_decomposable(m, n, k, field, make_rng(k + p), disguise)
+            rng = make_rng(k + p)
+            grid, intervals = Grid(m, n), enumerate_intervals(m, n)
+            folded = PersistenceModule(grid, field, {v: 0 for v in grid.vertices()})
+            for _ in range(k):
+                I = intervals[int(rng.integers(0, len(intervals)))]
+                folded = direct_sum(folded, interval_module(grid, I, field))
+            if disguise:
+                folded = conjugate(folded, {v: random_invertible(folded.dims[v], field, rng)
+                                            for v in grid.vertices()})
+            assert print_pmod(module) == print_pmod(folded)
+            assert module.hmaps == folded.hmaps and module.vmaps == folded.vmaps
+            assert sum(mult.values()) == k
 
     def test_negative_summands_rejected(self):
         with pytest.raises(ValueError):

@@ -104,9 +104,10 @@ class TestEnumeration:
         assert all(I.s == I.t == 1 for I in enumerate_intervals(1, 5))
 
     def test_canonical_order_and_uniqueness(self):
-        intervals = enumerate_intervals(2, 5)
-        assert list(intervals) == sorted(intervals)
-        assert len(set(intervals)) == len(intervals)
+        for m, n in [(2, 5), (1, 6), (3, 4), (4, 3), (6, 2), (2, 12)]:
+            intervals = enumerate_intervals(m, n)
+            assert list(intervals) == sorted(intervals)
+            assert len(set(intervals)) == len(intervals)
 
     def test_all_fit(self):
         assert all(I.fits(2, 4) for I in enumerate_intervals(2, 4))

@@ -112,6 +112,10 @@ REJECTS = [
     ("content after END", GOOD + "dim 1 1 1\n", 17),
     ("missing vertex dim", _replace_line(GOOD, "dim 2 2 1\n", ""), None),
     ("missing map block", _replace_line(GOOD, "map v 1 2\n1\n", ""), None),
+    # int() refuses more than 4300 digits
+    ("5000-digit dimension", _replace_line(GOOD, "dim 1 1 1", "dim 1 1 " + "1" * 5000), 4),
+    ("5000-digit map foot", _replace_line(GOOD, "map h 1 1", "map h 1 " + "1" * 5000), 8),
+    ("5000-digit entry", _replace_line(GOOD, "map h 1 1\n1", "map h 1 1\n" + "1" * 5000), 9),
     (
         "zero-dim map block",
         "PMOD 1\nfield 2\ngrid 1 2\ndim 1 1 1\ndim 1 2 0\nmap h 1 1\n0\nEND\n",
