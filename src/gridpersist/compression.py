@@ -77,7 +77,7 @@ arrow (1, d1 - 1) -> (1, d1), starting from V1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,8 +96,7 @@ ONE_SOURCE_TWO_SINKS = "one_source_two_sinks"
 TWO_SOURCES_TWO_SINKS = "two_sources_two_sinks"
 
 
-@dataclass(frozen=True)
-class SsShape:
+class SsShape(NamedTuple):
     """Source-sink shape of an interval in a grid of height <= 2.
 
     kind is one of the five tags above.  For rectangles src and dst are
@@ -120,24 +119,19 @@ def classify_ss(I: Interval) -> SsShape:
     Degenerate coincidences (equal row spans, single rows, single
     vertices) all land in the rectangle cases POINT and ARROW.
     """
-    if I.t - I.s > 1:
-        raise ValueError(f"interval spans {I.t - I.s + 1} rows; compression handles at most 2")
-    if I.s == I.t:
-        b, d = I.span(I.s)
-        src, dst = (I.s, b), (I.s, d)
-        return SsShape(POINT if src == dst else ARROW, src=src, dst=dst)
-    b1, d1 = I.span(I.s)
-    b2, d2 = I.span(I.t)
+    s, t, rows = I
+    if t - s > 1:
+        raise ValueError(f"interval spans {t - s + 1} rows; compression handles at most 2")
+    (b1, d1), (b2, d2) = rows[0], rows[-1]
     if b1 == b2 and d1 == d2:
-        src, dst = (I.s, b1), (I.t, d2)
-        return SsShape(ARROW, src=src, dst=dst)
-    if b2 < b1 and d2 == d1:
-        return SsShape(TWO_SOURCES_ONE_SINK, s1=(I.s, b1), s2=(I.t, b2), t2=(I.t, d2))
-    if b2 == b1 and d2 < d1:
-        return SsShape(ONE_SOURCE_TWO_SINKS, s1=(I.s, b1), t1=(I.s, d1), t2=(I.t, d2))
-    return SsShape(
-        TWO_SOURCES_TWO_SINKS, s1=(I.s, b1), s2=(I.t, b2), t1=(I.s, d1), t2=(I.t, d2)
-    )
+        src, dst = (s, b1), (t, d2)
+        return SsShape(POINT if src == dst else ARROW, src=src, dst=dst)
+    # a staircase has b2 <= b1 and d2 <= d1, and not both equal here
+    if d2 == d1:
+        return SsShape(TWO_SOURCES_ONE_SINK, s1=(s, b1), s2=(t, b2), t2=(t, d2))
+    if b2 == b1:
+        return SsShape(ONE_SOURCE_TWO_SINKS, s1=(s, b1), t1=(s, d1), t2=(t, d2))
+    return SsShape(TWO_SOURCES_TWO_SINKS, s1=(s, b1), s2=(t, b2), t1=(s, d1), t2=(t, d2))
 
 
 def _profile(piv: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ are taken over cover sets above a fixed interval.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
@@ -24,39 +24,36 @@ from typing import Iterator, Sequence
 Vertex = tuple[int, int]
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
+class Interval(namedtuple("Interval", "s t rows")):
     """A staircase: rows s..t with column span rows[i - s] = (b_i, d_i).
 
-    Ordering of the dataclass fields gives the canonical interval order
-    (s, t, row spans ascending), which every enumeration and every
-    serialised listing in this package follows.
+    The interval is the validated tuple (s, t, rows), so equality,
+    hashing and the canonical interval order (s, t, row spans ascending)
+    are the tuple's own; every enumeration and every serialised listing
+    in this package follows that order.
     """
 
-    s: int
-    t: int
-    rows: tuple[tuple[int, int], ...]
-    # intervals key the dicts of every interval function, so the hash of
-    # the field tuple is computed once, not on every lookup
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.s < 1 or self.t < self.s:
-            raise ValueError(f"bad row range {self.s}..{self.t}")
-        if len(self.rows) != self.t - self.s + 1:
-            raise ValueError(f"expected {self.t - self.s + 1} row spans, got {len(self.rows)}")
-        for b, d in self.rows:
+    def __new__(cls, s: int, t: int, rows: tuple[tuple[int, int], ...]) -> "Interval":
+        if s < 1 or t < s:
+            raise ValueError(f"bad row range {s}..{t}")
+        if len(rows) != t - s + 1:
+            raise ValueError(f"expected {t - s + 1} row spans, got {len(rows)}")
+        for b, d in rows:
             if not 1 <= b <= d:
                 raise ValueError(f"bad column span [{b},{d}]")
-        for (b_lo, d_lo), (b_hi, d_hi) in zip(self.rows, self.rows[1:]):
+        for (b_lo, d_lo), (b_hi, d_hi) in zip(rows, rows[1:]):
             if not (b_hi <= b_lo <= d_hi <= d_lo):
                 raise ValueError(
                     f"rows [{b_lo},{d_lo}] and [{b_hi},{d_hi}] violate the staircase condition"
                 )
-        object.__setattr__(self, "_hash", hash((self.s, self.t, self.rows)))
+        return super().__new__(cls, s, t, rows)
 
-    def __hash__(self) -> int:
-        return self._hash
+    @classmethod
+    def _make(cls, iterable) -> "Interval":
+        # namedtuple's _make, and _replace through it, would skip __new__
+        return cls(*iterable)
 
     def span(self, i: int) -> tuple[int, int]:
         """Column span (b_i, d_i) of row i; the row must belong to s..t."""
@@ -77,14 +74,14 @@ class Interval:
 
     @staticmethod
     def from_string(text: str) -> "Interval":
-        m = re.fullmatch(r"(\d+)\.\.(\d+):((?:\[\d+,\d+\];?)+)", text.strip())
+        """The interval that to_string writes as text: ASCII digits without
+        leading zeros, spans joined by ';', nothing around them."""
+        span = r"\[([1-9][0-9]*),([1-9][0-9]*)\]"
+        m = re.fullmatch(rf"([1-9][0-9]*)\.\.([1-9][0-9]*):({span}(?:;{span})*)", text)
         if m is None:
             raise ValueError(f"malformed interval string: {text!r}")
-        s, t = int(m.group(1)), int(m.group(2))
-        spans = tuple(
-            (int(b), int(d)) for b, d in re.findall(r"\[(\d+),(\d+)\]", m.group(3))
-        )
-        return Interval(s, t, spans)
+        spans = tuple((int(b), int(d)) for b, d in re.findall(span, m.group(3)))
+        return Interval(int(m.group(1)), int(m.group(2)), spans)
 
 
 def interval_contains_rectangle(I: Interval, src: Vertex, dst: Vertex) -> bool:
@@ -140,22 +137,14 @@ def _cover_candidates(I: Interval, m: int, n: int) -> list[tuple[str, Interval]]
     'below' adds the vertex (s-1, d_s).
     """
     cands: list[tuple[str, Interval]] = []
-    for i in range(I.s, I.t + 1):
-        b, d = I.span(i)
-        if b > 1:
-            rows = list(I.rows)
-            rows[i - I.s] = (b - 1, d)
-            try:
-                cands.append((f"left:{i}", Interval(I.s, I.t, tuple(rows))))
-            except ValueError:
-                pass
-        if d < n:
-            rows = list(I.rows)
-            rows[i - I.s] = (b, d + 1)
-            try:
-                cands.append((f"right:{i}", Interval(I.s, I.t, tuple(rows))))
-            except ValueError:
-                pass
+    for k, (b, d) in enumerate(I.rows):
+        for tag, grows, span in (("left", b > 1, (b - 1, d)), ("right", d < n, (b, d + 1))):
+            if grows:
+                rows = I.rows[:k] + (span,) + I.rows[k + 1:]
+                try:
+                    cands.append((f"{tag}:{I.s + k}", I._replace(rows=rows)))
+                except ValueError:
+                    pass  # the widened row breaks the staircase condition
     if I.t < m:
         b_t = I.span(I.t)[0]
         cands.append(("above", Interval(I.s, I.t + 1, I.rows + ((b_t, b_t),))))

@@ -11,7 +11,10 @@ cost per interval bounded by 2^|Cov(I)|.
 The cover-subset joins depend only on the grid size, so they are built
 once per size as a sparse signed operator on interval indices, every
 cover subset of every interval joined in a few array operations; an
-inversion is then one scatter-add.
+inversion is then one scatter-add.  A join is found among the intervals
+by its padded span row: the bytes of a row are one opaque key, the keys
+of the intervals are sorted once, and each batch of joins is located
+among them by binary search.
 """
 
 from __future__ import annotations
@@ -69,34 +72,10 @@ def _cover_moves(b: np.ndarray, d: np.ndarray, s: np.ndarray, t: np.ndarray, n: 
     return valid.sum(axis=1), moves, move_row.ravel(), move_b.ravel(), move_d.ravel()
 
 
-def _staircase_index(b: np.ndarray, d: np.ndarray, n: int):
-    """A map from padded staircases found among the rows of (b, d) to
-    their row positions there.
-
-    Row spans are folded into one integer key as mixed-radix digits.
-    Where a key could overflow int64 it is first renumbered by its rank
-    among the keys of (b, d); the prefix of any staircase found there is
-    among them too, so the same renumbering serves every lookup.
-    """
-    ranks = []
-    key = np.zeros(len(b), dtype=np.int64)
-    for i in range(b.shape[1]):
-        ranks.append(np.unique(key) if key.max() >= np.iinfo(np.int64).max // (n + 2) ** 2 else None)
-        if ranks[i] is not None:
-            key = np.searchsorted(ranks[i], key)
-        key = (key * (n + 2) + b[:, i]) * (n + 2) + d[:, i]
-    order = np.argsort(key)
-    key = key[order]
-
-    def index(jb: np.ndarray, jd: np.ndarray) -> np.ndarray:
-        jkey = np.zeros(len(jb), dtype=np.int64)
-        for i, uniq in enumerate(ranks):
-            if uniq is not None:
-                jkey = np.searchsorted(uniq, jkey)
-            jkey = (jkey * (n + 2) + jb[:, i]) * (n + 2) + jd[:, i]
-        return order[np.searchsorted(key, jkey)]
-
-    return index
+def _span_keys(b: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """One opaque key per padded staircase: the bytes of its (b, d) span row."""
+    rows = np.hstack([b, d])
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 # cover subsets joined per batch; bounds the scratch memory of a build
@@ -135,7 +114,9 @@ def _mobius_operator(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     k = np.repeat(np.arange(len(intervals), dtype=np.int32), subsets)
     J = np.empty(len(k), dtype=np.int32)
     sign = np.empty(len(k), dtype=np.int8)
-    index_of = _staircase_index(b, d, n)
+    keys = _span_keys(b, d)
+    order = np.argsort(keys)
+    keys = keys[order]
     for lo in range(0, len(k), _BATCH):
         kb = k[lo:lo + _BATCH]
         mask = np.arange(lo, lo + len(kb)) - first[kb] + 1
@@ -158,7 +139,7 @@ def _mobius_operator(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
         p = np.flatnonzero(below)
         r = s[kb[p]] - 2
         jd[p, r] = np.maximum(jd[p, r], jd[p, r + 1])
-        J[lo:lo + len(kb)] = index_of(jb, jd)
+        J[lo:lo + len(kb)] = order[np.searchsorted(keys, _span_keys(jb, jd))]
         sign[lo:lo + len(kb)] = np.where(np.bitwise_count(mask) % 2, -1, 1)
 
     operator = (k, J, sign)

@@ -93,15 +93,19 @@ def parse_pmod(text: str) -> PersistenceModule:
     lineno, words = take("'field <p>'")
     if len(words) != 2 or words[0] != "field" or not _is_natural(words[1]):
         raise PmodError("expected 'field <p>'", lineno)
+    (p,) = _ints(words[1:], lineno)
     try:
-        field = FieldSpec(int(words[1]))
+        field = FieldSpec(p)
     except ValueError as exc:
-        raise PmodError(str(exc), lineno) from exc
+        # a modulus of thousands of digits is named by its length, not echoed
+        message = str(exc) if p < 10**6 else f"field modulus of {len(words[1])} digits is not below 2**16"
+        raise PmodError(message, lineno) from exc
     lineno, words = take("'grid <m> <n>'")
     if len(words) != 3 or words[0] != "grid" or not all(map(_is_natural, words[1:])):
         raise PmodError("expected 'grid <m> <n>'", lineno)
+    m, n = _ints(words[1:], lineno)
     try:
-        grid = Grid(int(words[1]), int(words[2]))
+        grid = Grid(m, n)
     except ValueError as exc:
         raise PmodError(str(exc), lineno) from exc
 

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from gridpersist import compression, grid
+from gridpersist import cli, compression, grid
 from gridpersist.cli import build_parser, main
 from gridpersist.pmod import parse_pmod
 
@@ -158,6 +158,13 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", example_file)
         assert code == 0 and out.startswith("PASS")
         assert len(built) == 1
+
+    def test_rank_mismatch_exits_3(self, example_file, capsys, monkeypatch):
+        rank_of_sum = cli.rank_of_sum
+        monkeypatch.setattr(cli, "rank_of_sum", lambda s, src, dst: rank_of_sum(s, src, dst) + 1)
+        code, out, _ = run_cli(capsys, "verify", example_file)
+        assert code == 3
+        assert out.startswith("MISMATCH rank at ") and out.count("\n") == 1
 
     def test_random_interval_sum_passes(self, tmp_path, capsys):
         path = tmp_path / "sum.pmod"

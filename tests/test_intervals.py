@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -57,6 +59,18 @@ class TestIntervalType:
             iv("1..2:[2,3]")
         with pytest.raises(ValueError):
             iv("nonsense")
+        for I in enumerate_intervals(2, 6) + enumerate_intervals(3, 4):
+            assert iv(I.to_string()) == I
+
+    @pytest.mark.parametrize("text", [
+        "1..1:[1,2];",                     # trailing separator
+        "1..2:[2,3][1,2]",                 # no separator
+        "\u0661..\u0661:[1,1]",            # Arabic-Indic digits
+        " 1..1:[1,1]",                     # surrounding space
+    ])
+    def test_from_string_accepts_only_what_to_string_writes(self, text):
+        with pytest.raises(ValueError, match="malformed interval string"):
+            iv(text)
 
     def test_from_vertices_round_trip(self):
         for I in enumerate_intervals(2, 4):
@@ -87,6 +101,24 @@ class TestIntervalType:
         for I in intervals:
             twin = Interval(I.s, I.t, I.rows)
             assert hash(I) == hash(twin) == hash(key[I])
+
+    def test_pickle_and_deepcopy_keep_type_and_value(self):
+        for I in enumerate_intervals(2, 3):
+            for twin in (pickle.loads(pickle.dumps(I)), copy.deepcopy(I)):
+                assert type(twin) is Interval and twin == I and twin.to_string() == I.to_string()
+
+    def test_replace_and_make_validate(self):
+        I = Interval(1, 2, ((2, 3), (1, 2)))
+        assert I._replace(rows=((2, 3), (2, 3))) == Interval(1, 2, ((2, 3), (2, 3)))
+        with pytest.raises(ValueError, match="violate the staircase condition"):
+            I._replace(rows=((1, 2), (1, 3)))
+        with pytest.raises(ValueError, match="expected 1 row spans, got 2"):
+            I._replace(s=2)
+        with pytest.raises(ValueError, match="bad row range 2..1"):
+            Interval._make((2, 1, ()))
+        with pytest.raises(ValueError, match=r"bad column span \[3,2\]"):
+            Interval._make((1, 1, ((3, 2),)))
+        assert repr(I) == "Interval(s=1, t=2, rows=((2, 3), (1, 2)))"
 
 
 class TestEnumeration:

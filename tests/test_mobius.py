@@ -141,7 +141,7 @@ SMALL_GRIDS = [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12
 
 
 class TestOperator:
-    # on 16 x 2 the span keys of all rows would overflow int64 and are renumbered
+    # 16 x 2 pads every span row to 16 rows, the widest keys the operator looks up
     @pytest.mark.parametrize("m,n", SMALL_GRIDS + [(2, 12), (3, 5), (16, 2)])
     def test_equals_cover_sum_definition(self, m, n):
         # values near +-2^40 make any float rounding or int32 wrap visible

@@ -68,3 +68,21 @@ def test_traced_verify_job(tracer_module, tmp_path, capsys):
     assert metrics["mobius.invert_s"] > 0
     assert metrics["intervals.count"] == len(enumerate_intervals(2, 3))
     assert metrics["approximation.rank_of_sum.calls"] > 0
+
+
+def test_traced_approx_job(tracer_module, tmp_path, capsys):
+    # two of the three workloads run approx; their counts come from these wrappers
+    path = tmp_path / "example.pmod"
+    path.write_text(print_pmod(example_module()))
+    tracer = tracer_module.Tracer()
+    tracer.patch()
+    try:
+        rc = tracer.run_job(0, cli.main, ["approx", str(path)])
+    finally:
+        tracer.unpatch()
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0 and lines[0] == "APPROX ss"
+    metrics = tracer.job_metrics(0)
+    assert metrics["compression.lookups"] > 0
+    assert metrics["approximation.nnz"] == len(lines) - 1 == 4
+    assert metrics["mobius.invert_s"] > 0

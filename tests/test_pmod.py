@@ -116,12 +116,23 @@ REJECTS = [
     ("5000-digit dimension", _replace_line(GOOD, "dim 1 1 1", "dim 1 1 " + "1" * 5000), 4),
     ("5000-digit map foot", _replace_line(GOOD, "map h 1 1", "map h 1 " + "1" * 5000), 8),
     ("5000-digit entry", _replace_line(GOOD, "map h 1 1\n1", "map h 1 1\n" + "1" * 5000), 9),
+    ("4000-digit modulus", _replace_line(GOOD, "field 2", "field " + "9" * 4000), 2),
+    ("5000-digit modulus", _replace_line(GOOD, "field 2", "field " + "1" * 5000), 2),
+    ("5000-digit grid size", _replace_line(GOOD, "grid 2 2", "grid " + "1" * 5000 + " 2"), 3),
     (
         "zero-dim map block",
         "PMOD 1\nfield 2\ngrid 1 2\ndim 1 1 1\ndim 1 2 0\nmap h 1 1\n0\nEND\n",
         6,
     ),
 ]
+
+
+# exact messages of some REJECTS: long numbers are named by their length, not echoed
+REJECT_MESSAGES = {
+    "4000-digit modulus": "line 2: field modulus of 4000 digits is not below 2**16",
+    "5000-digit modulus": "line 2: integer of 5000 characters is too long",
+    "5000-digit grid size": "line 3: integer of 5000 characters is too long",
+}
 
 
 class TestRejection:
@@ -131,6 +142,9 @@ class TestRejection:
             parse_pmod(doc)
         if line is not None:
             assert err.value.line == line, str(err.value)
+        assert len(str(err.value)) < 120, str(err.value)[:120]
+        if label in REJECT_MESSAGES:
+            assert str(err.value) == REJECT_MESSAGES[label]
 
     @pytest.mark.parametrize("row,message", [
         ("1 -0", None),
