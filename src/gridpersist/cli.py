@@ -39,6 +39,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def _int_list(least: int):
+    """argparse type: comma-separated integers, each at least `least`."""
+    def convert(text: str) -> list[int]:
+        try:
+            values = [int(x) for x in text.split(",")]
+            if min(values) >= least:
+                return values
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers >= {least}, got {text!r}")
+    return convert
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -144,13 +157,11 @@ def _bench_cell(n: int, d: int, reps: int, seed: int):
 
 
 def cmd_bench(args) -> int:
-    n_list = [int(x) for x in args.n.split(",")]
-    d_list = [int(x) for x in args.d.split(",")]
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=["n", "d", "reps", "mean_ms", "intervals", "path_pairs"])
     writer.writeheader()
-    for d in d_list:
-        for n in n_list:
+    for d in args.d:
+        for n in args.n:
             writer.writerow(_bench_cell(n, d, args.reps, args.seed))
     _write_output(out.getvalue(), args.output)
     return 0
@@ -192,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("bench", help="timing table over grid widths and dimensions (CSV)")
-    p.add_argument("--n", default="4,8,16", help="comma-separated grid widths")
-    p.add_argument("--d", default="10", help="comma-separated space dimensions")
+    p.add_argument("--n", type=_int_list(1), default="4,8,16", help="comma-separated grid widths")
+    p.add_argument("--d", type=_int_list(0), default="10", help="comma-separated space dimensions")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", "-o", default=None)

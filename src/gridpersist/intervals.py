@@ -10,7 +10,10 @@ segments [b_i, d_i] for i = s..t satisfying
 for consecutive rows, so higher rows reach weakly further left and end
 weakly further left.  Intervals are ordered by inclusion of their vertex
 sets.  The poset is graded by vertex count but is not a lattice; joins
-are taken over cover sets above a fixed interval.
+are taken over cover sets above a fixed interval.  The join of covers is
+the least staircase over their union (b a running minimum going up, d a
+running maximum going down), exact since every staircase containing the
+union is at least that wide; mobius builds them once per grid size.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator
 
 Vertex = tuple[int, int]
 
@@ -124,64 +126,3 @@ def enumerate_intervals(m: int, n: int) -> tuple[Interval, ...]:
                     for rows in extend([(b, d)], t - s):
                         out.append(Interval(s, t, rows))
     return tuple(out)
-
-
-# --- covers and joins -------------------------------------------------
-
-def _cover_candidates(I: Interval, m: int, n: int) -> list[tuple[str, Interval]]:
-    """Tagged candidate covers; invalid or out-of-bounds ones are dropped.
-
-    Tags: 'left:<row>' and 'right:<row>' extend one row by one column
-    ('left' at row t and 'right' at row s are the special top-left and
-    bottom-right extensions), 'above' adds the vertex (t+1, b_t), and
-    'below' adds the vertex (s-1, d_s).
-    """
-    cands: list[tuple[str, Interval]] = []
-    for k, (b, d) in enumerate(I.rows):
-        for tag, grows, span in (("left", b > 1, (b - 1, d)), ("right", d < n, (b, d + 1))):
-            if grows:
-                rows = I.rows[:k] + (span,) + I.rows[k + 1:]
-                try:
-                    cands.append((f"{tag}:{I.s + k}", I._replace(rows=rows)))
-                except ValueError:
-                    pass  # the widened row breaks the staircase condition
-    if I.t < m:
-        b_t = I.span(I.t)[0]
-        cands.append(("above", Interval(I.s, I.t + 1, I.rows + ((b_t, b_t),))))
-    if I.s > 1:
-        d_s = I.span(I.s)[1]
-        cands.append(("below", Interval(I.s - 1, I.t, ((d_s, d_s),) + I.rows)))
-    return cands
-
-
-def _join_cover_subset(I: Interval, tagged: Sequence[tuple[str, Interval]]) -> Interval:
-    """Join of a nonempty set of covers of I, as tagged candidates.
-
-    The join is the union of the members, completed by the top-left
-    corner vertex when both the top-row left extension and the new-row-
-    above cover are present, and dually by the bottom-right corner
-    vertex.  No other completion is ever needed.
-    """
-    tags = {tag for tag, _ in tagged}
-    members = [J for _, J in tagged]
-    s = min(J.s for J in members)
-    t = max(J.t for J in members)
-    spans: list[tuple[int, int]] = []
-    for i in range(s, t + 1):
-        here = [J.span(i) for J in members if J.s <= i <= J.t]
-        spans.append((min(b for b, _ in here), max(d for _, d in here)))
-    if "above" in tags and f"left:{I.t}" in tags:
-        b, d = spans[I.t + 1 - s]
-        spans[I.t + 1 - s] = (I.span(I.t)[0] - 1, d)
-    if "below" in tags and f"right:{I.s}" in tags:
-        b, d = spans[I.s - 1 - s]
-        spans[I.s - 1 - s] = (b, I.span(I.s)[1] + 1)
-    return Interval(s, t, tuple(spans))
-
-
-def cover_subset_joins(I: Interval, m: int, n: int) -> Iterator[tuple[int, Interval]]:
-    """Yield (|S|, join(S)) over all nonempty subsets S of Cov(I)."""
-    tagged = _cover_candidates(I, m, n)
-    for size in range(1, len(tagged) + 1):
-        for subset in combinations(tagged, size):
-            yield size, _join_cover_subset(I, subset)

@@ -11,19 +11,27 @@ cost per interval bounded by 2^|Cov(I)|.
 The cover-subset joins depend only on the grid size, so they are built
 once per size as a sparse signed operator on interval indices, every
 cover subset of every interval joined in a few array operations; an
-inversion is then one scatter-add.  A join is found among the intervals
-by its padded span row: the bytes of a row are one opaque key, the keys
-of the intervals are sorted once, and each batch of joins is located
-among them by binary search.
+inversion is then one scatter-add.  The join of a cover subset is the
+least staircase over the union of its covers, since every staircase
+containing the union is at least that wide: b takes a running minimum
+going up and d a running maximum going down over the rows it holds.  A
+valid left or right move keeps the staircase condition with its
+neighbours, so this closure changes only the corners where a new row
+above (below) meets a left (right) extension of the top (bottom) row.  A
+join is found among the intervals by its padded span row: the bytes of a
+row are one opaque key, the keys of the intervals are sorted once, and
+each batch of joins is located among them by binary search.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
-from .intervals import Interval, cover_subset_joins, enumerate_intervals
+from .intervals import Interval, enumerate_intervals
 
 IntervalFunction = dict[Interval, int]
 
@@ -35,16 +43,23 @@ def mu_prime(I: Interval, J: Interval, m: int, n: int) -> int:
     subsets S of Cov(I) whose join above I is J; 0 when no such subset
     exists (in particular whenever I is not below J).
     """
-    if I == J:
-        return 1
-    total = 0
-    for size, join in cover_subset_joins(I, m, n):
-        if join == J:
-            total += -1 if size % 2 else 1
-    return total
+    return int(I == J) + sum(sign for sign, join in cover_subset_joins(I, m, n) if join == J)
 
 
-def _cover_moves(b: np.ndarray, d: np.ndarray, s: np.ndarray, t: np.ndarray, n: int):
+def cover_subset_joins(I: Interval, m: int, n: int) -> Iterator[tuple[int, Interval]]:
+    """Yield ((-1)^|S|, join(S)) over all nonempty subsets S of Cov(I),
+    read from the operator's entries for I, which are one contiguous run."""
+    intervals = enumerate_intervals(m, n)
+    i = bisect_left(intervals, I)
+    if i == len(intervals) or intervals[i] != I:
+        raise ValueError(f"{I.to_string()} does not fit in a {m} x {n} grid")
+    I_idx, J_idx, sign = _mobius_operator(m, n)
+    lo, hi = np.searchsorted(I_idx, [i, i + 1])
+    for j, sg in zip(J_idx[lo:hi].tolist(), sign[lo:hi].tolist()):
+        yield sg, intervals[j]
+
+
+def _cover_moves(b: np.ndarray, d: np.ndarray, n: int):
     """The valid cover moves of each padded staircase.
 
     Returns the number of valid moves per staircase, the flat ids of its
@@ -54,6 +69,8 @@ def _cover_moves(b: np.ndarray, d: np.ndarray, s: np.ndarray, t: np.ndarray, n: 
     N, m = b.shape
     rows = np.arange(1, m + 1)
     inside = d > 0
+    s = inside.argmax(axis=1) + 1
+    t = m - inside[:, ::-1].argmax(axis=1)
     b_above = np.column_stack([b[:, 1:], np.full(N, n + 1, dtype=b.dtype)])
     d_below = np.column_stack([np.zeros(N, dtype=b.dtype), d[:, :-1]])
     index = np.arange(N)
@@ -91,22 +108,20 @@ def _mobius_operator(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     positions in enumerate_intervals(m, n).
 
     Interval k is held as padded row spans (b[k, i-1], d[k, i-1]) for
-    rows i = 1..m, with (n + 1, 0) outside its rows, so a join of covers
-    is the elementwise min of b and max of d over its members.  Each
+    rows i = 1..m, with (n + 1, 0) outside its rows, so the union of
+    covers is the elementwise min of b and max of d over its members.  Each
     interval has at most 2m + 2 cover moves, one row span widened each:
     slot r extends row r + 1 left, slot m + r extends it right, slot 2m
     starts row t + 1 at (b_t, b_t) and slot 2m + 1 starts row s - 1 at
     (d_s, d_s).  A pair (interval, subset mask over its valid moves)
-    applies the moves of its set bits; the top-left and bottom-right
-    corner completions of intervals._join_cover_subset follow.
+    applies the moves of its set bits, then closes the result into the
+    least staircase over the rows it holds (see the module docstring).
     """
     intervals = enumerate_intervals(m, n)
     pad = ((n + 1, 0),)
     spans = np.array([pad * (I.s - 1) + I.rows + pad * (m - I.t) for I in intervals], dtype=np.int32)
     b, d = spans[:, :, 0], spans[:, :, 1]
-    s = (d > 0).argmax(axis=1) + 1
-    t = m - (d[:, ::-1] > 0).argmax(axis=1)
-    count, moves, move_row, move_b, move_d = _cover_moves(b, d, s, t, n)
+    count, moves, move_row, move_b, move_d = _cover_moves(b, d, n)
 
     # pair p = (interval k[p], mask): bit j of mask is the j-th valid move of k[p]
     subsets = (1 << count) - 1
@@ -122,23 +137,16 @@ def _mobius_operator(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
         mask = np.arange(lo, lo + len(kb)) - first[kb] + 1
         jb, jd = b[kb], d[kb]
         flat_b, flat_d = jb.reshape(-1), jd.reshape(-1)
-        above = np.zeros(len(kb), dtype=bool)
-        below = np.zeros(len(kb), dtype=bool)
         for j in range(int(count.max())):
             p = np.flatnonzero((mask >> j) & 1)
             move = moves[kb[p], j]
             at = p * m + move_row[move]
             flat_b[at] = np.minimum(flat_b[at], move_b[move])
             flat_d[at] = np.maximum(flat_d[at], move_d[move])
-            slot = move % (2 * m + 2)
-            above[p] |= slot == 2 * m
-            below[p] |= slot == 2 * m + 1
-        p = np.flatnonzero(above)
-        r = t[kb[p]]
-        jb[p, r] = np.minimum(jb[p, r], jb[p, r - 1])
-        p = np.flatnonzero(below)
-        r = s[kb[p]] - 2
-        jd[p, r] = np.maximum(jd[p, r], jd[p, r + 1])
+        outside = jd == 0
+        jb = np.minimum.accumulate(jb, axis=1)
+        jd = np.maximum.accumulate(jd[:, ::-1], axis=1)[:, ::-1]
+        jb[outside], jd[outside] = n + 1, 0
         J[lo:lo + len(kb)] = order[np.searchsorted(keys, _span_keys(jb, jd))]
         sign[lo:lo + len(kb)] = np.where(np.bitwise_count(mask) % 2, -1, 1)
 

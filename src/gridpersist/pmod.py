@@ -60,6 +60,17 @@ def _is_natural(word: str) -> bool:
     return word.isascii() and word.isdigit()
 
 
+def _amount(noun: str, value: int) -> str:
+    """A noun and a number from the document as a message names them: the
+    number up to six digits, else only its length, so no message grows."""
+    digits = str(value)
+    return f"{noun} {digits}" if len(digits) <= 6 else f"{noun} of {len(digits)} digits"
+
+
+def _vertex(i: int, j: int) -> str:
+    return f"({_amount('row', i)}, {_amount('column', j)})"
+
+
 def _ints(words: list[str], lineno: int) -> list[int]:
     """The words as integers; one too long for int() is a PmodError at lineno."""
     try:
@@ -97,8 +108,7 @@ def parse_pmod(text: str) -> PersistenceModule:
     try:
         field = FieldSpec(p)
     except ValueError as exc:
-        # a modulus of thousands of digits is named by its length, not echoed
-        message = str(exc) if p < 10**6 else f"field modulus of {len(words[1])} digits is not below 2**16"
+        message = str(exc) if p < 2**16 else f"{_amount('field modulus', p)} is not below 2**16"
         raise PmodError(message, lineno) from exc
     lineno, words = take("'grid <m> <n>'")
     if len(words) != 3 or words[0] != "grid" or not all(map(_is_natural, words[1:])):
@@ -107,7 +117,8 @@ def parse_pmod(text: str) -> PersistenceModule:
     try:
         grid = Grid(m, n)
     except ValueError as exc:
-        raise PmodError(str(exc), lineno) from exc
+        message = f"grid sizes must be positive: {_amount('height', m)}, {_amount('width', n)}"
+        raise PmodError(message, lineno) from exc
 
     dims: dict[tuple[int, int], int] = {}
     maps: dict[tuple[str, int, int], FFMatrix] = {}
@@ -125,11 +136,11 @@ def parse_pmod(text: str) -> PersistenceModule:
                 raise PmodError("expected 'dim <i> <j> <k>'", lineno)
             i, j, k = _ints(words[1:], lineno)
             if not in_grid(i, j):
-                raise PmodError(f"vertex ({i}, {j}) outside the {grid.m} x {grid.n} grid", lineno)
+                raise PmodError(f"vertex {_vertex(i, j)} outside the grid", lineno)
             if (i, j) in dims:
-                raise PmodError(f"duplicate dimension for vertex ({i}, {j})", lineno)
+                raise PmodError(f"duplicate dimension for vertex {_vertex(i, j)}", lineno)
             if k > MAX_DIM:
-                raise PmodError(f"dimension {k} exceeds the bound {MAX_DIM}", lineno)
+                raise PmodError(f"{_amount('dimension', k)} exceeds the bound {MAX_DIM}", lineno)
             dims[(i, j)] = k
         elif words[0] == "map":
             if len(words) != 4 or words[1] not in ("h", "v") or not all(map(_is_natural, words[2:])):
@@ -138,11 +149,11 @@ def parse_pmod(text: str) -> PersistenceModule:
             src = (i, j)
             dst = (i, j + 1) if kind == "h" else (i + 1, j)
             if not (in_grid(*src) and in_grid(*dst)):
-                raise PmodError(f"arrow ({i}, {j}) has no {kind} successor in the grid", lineno)
+                raise PmodError(f"arrow {_vertex(i, j)} has no {kind} successor in the grid", lineno)
             if src not in dims or dst not in dims:
                 raise PmodError("map block before the dimensions of both endpoints", lineno)
             if (kind, i, j) in maps:
-                raise PmodError(f"duplicate map block for {kind} ({i}, {j})", lineno)
+                raise PmodError(f"duplicate map block for {kind} {_vertex(i, j)}", lineno)
             rows, cols = dims[dst], dims[src]
             if rows == 0 or cols == 0:
                 raise PmodError("zero-dimensional arrows must be omitted", lineno)

@@ -6,14 +6,16 @@ Hom-dimension route shares no code path with the package: it reads the
 arrows off the module, composes path maps with naive_mul, classifies
 shapes from the vertex set and ranks with naive_rank; FFMatrix only
 holds its matrices.  The poset helpers are interval operations only the
-tests use; covers and join_covers select from the package's cover
-candidates and cover joins.
+tests use; the covers and their joins are walked here one subset at a
+time, apart from the package's Moebius operator, which builds them all
+at once.  block_multiplicity reads shapes off the vertex set too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,18 +25,10 @@ from gridpersist.compression import (
     POINT,
     TWO_SOURCES_ONE_SINK,
     TWO_SOURCES_TWO_SINKS,
-    classify_ss,
 )
 from gridpersist.ffmat import FFMatrix, ShapeError, block2x2, hstack, vstack
 from gridpersist.grid import PersistenceModule
-from gridpersist.intervals import (
-    Interval,
-    Vertex,
-    _cover_candidates,
-    _join_cover_subset,
-    cover_subset_joins,
-    enumerate_intervals,
-)
+from gridpersist.intervals import Interval, Vertex, enumerate_intervals
 
 
 def naive_rank(rows: list[list[int]], p: int) -> int:
@@ -140,6 +134,66 @@ def leq(I: Interval, J: Interval) -> bool:
     return True
 
 
+def cover_candidates(I: Interval, m: int, n: int) -> list[tuple[str, Interval]]:
+    """Tagged candidate covers; invalid or out-of-bounds ones are dropped.
+
+    Tags: 'left:<row>' and 'right:<row>' extend one row by one column
+    ('left' at row t and 'right' at row s are the special top-left and
+    bottom-right extensions), 'above' adds the vertex (t+1, b_t), and
+    'below' adds the vertex (s-1, d_s).
+    """
+    cands: list[tuple[str, Interval]] = []
+    for k, (b, d) in enumerate(I.rows):
+        for tag, grows, span in (("left", b > 1, (b - 1, d)), ("right", d < n, (b, d + 1))):
+            if grows:
+                rows = I.rows[:k] + (span,) + I.rows[k + 1:]
+                try:
+                    cands.append((f"{tag}:{I.s + k}", I._replace(rows=rows)))
+                except ValueError:
+                    pass  # the widened row breaks the staircase condition
+    if I.t < m:
+        b_t = I.span(I.t)[0]
+        cands.append(("above", Interval(I.s, I.t + 1, I.rows + ((b_t, b_t),))))
+    if I.s > 1:
+        d_s = I.span(I.s)[1]
+        cands.append(("below", Interval(I.s - 1, I.t, ((d_s, d_s),) + I.rows)))
+    return cands
+
+
+def join_cover_subset(I: Interval, tagged: Sequence[tuple[str, Interval]]) -> Interval:
+    """Join of a nonempty set of covers of I, as tagged candidates.
+
+    The join is the union of the members, completed by the top-left
+    corner vertex when both the top-row left extension and the new-row-
+    above cover are present, and dually by the bottom-right corner
+    vertex.  No other completion is ever needed.
+    """
+    tags = {tag for tag, _ in tagged}
+    members = [J for _, J in tagged]
+    s = min(J.s for J in members)
+    t = max(J.t for J in members)
+    spans: list[tuple[int, int]] = []
+    for i in range(s, t + 1):
+        here = [J.span(i) for J in members if J.s <= i <= J.t]
+        spans.append((min(b for b, _ in here), max(d for _, d in here)))
+    if "above" in tags and f"left:{I.t}" in tags:
+        b, d = spans[I.t + 1 - s]
+        spans[I.t + 1 - s] = (I.span(I.t)[0] - 1, d)
+    if "below" in tags and f"right:{I.s}" in tags:
+        b, d = spans[I.s - 1 - s]
+        spans[I.s - 1 - s] = (b, I.span(I.s)[1] + 1)
+    return Interval(s, t, tuple(spans))
+
+
+def cover_subset_joins(I: Interval, m: int, n: int) -> Iterator[tuple[int, Interval]]:
+    """Yield (|S|, join(S)) over all nonempty subsets S of Cov(I), one
+    subset at a time; the reference for the package's Moebius operator."""
+    tagged = cover_candidates(I, m, n)
+    for size in range(1, len(tagged) + 1):
+        for subset in combinations(tagged, size):
+            yield size, join_cover_subset(I, subset)
+
+
 def covers(I: Interval, m: int, n: int) -> tuple[Interval, ...]:
     """The covers of I in the m x n interval poset, canonical order.
 
@@ -149,7 +203,7 @@ def covers(I: Interval, m: int, n: int) -> tuple[Interval, ...]:
     """
     if not I.fits(m, n):
         raise ValueError(f"{I.to_string()} does not fit in a {m} x {n} grid")
-    return tuple(sorted(J for _, J in _cover_candidates(I, m, n)))
+    return tuple(sorted(J for _, J in cover_candidates(I, m, n)))
 
 
 def join_covers(I: Interval, S: Iterable[Interval], m: int, n: int) -> Interval:
@@ -161,20 +215,18 @@ def join_covers(I: Interval, S: Iterable[Interval], m: int, n: int) -> Interval:
     wanted = list(S)
     if not wanted:
         raise ValueError("join of an empty cover set")
-    tagged = _cover_candidates(I, m, n)
+    tagged = cover_candidates(I, m, n)
     by_interval = {J: tag for tag, J in tagged}
     chosen = []
     for J in wanted:
         if J not in by_interval:
             raise ValueError(f"{J.to_string()} is not a cover of {I.to_string()}")
         chosen.append((by_interval[J], J))
-    return _join_cover_subset(I, chosen)
+    return join_cover_subset(I, chosen)
 
 
 def subset_interval_count(m: int, n: int) -> int:
     """Number of intervals by checking every nonempty vertex subset."""
-    from itertools import combinations
-
     verts = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
     count = 0
     for r in range(1, len(verts) + 1):
@@ -259,21 +311,23 @@ def block_multiplicity(table, I: Interval) -> int:
 
     Ranks are taken by naive_rank.
     """
-    shape = classify_ss(I)
+    kind, verts = ss_roles(I)
 
     def rank(m: FFMatrix) -> int:
         return naive_rank(m.tolist(), m.p)
 
-    if shape.kind in (POINT, ARROW):
-        return rank(table[(shape.src, shape.dst)])
-    b = table[(shape.s1, shape.t2)]
-    if shape.kind == TWO_SOURCES_ONE_SINK:
-        a = table[(shape.s2, shape.t2)]
+    if kind in (POINT, ARROW):
+        return rank(table[(verts[0], verts[-1])])
+    if kind == TWO_SOURCES_ONE_SINK:
+        s1, s2, t2 = verts
+        a, b = table[(s2, t2)], table[(s1, t2)]
         return rank(a) + rank(b) - rank(hstack(a, b))
-    c = table[(shape.s1, shape.t1)]
-    if shape.kind == ONE_SOURCE_TWO_SINKS:
+    if kind == ONE_SOURCE_TWO_SINKS:
+        s1, t1, t2 = verts
+        b, c = table[(s1, t2)], table[(s1, t1)]
         return rank(b) + rank(c) - rank(vstack(b, c))
-    a = table[(shape.s2, shape.t2)]
+    s1, s2, t1, t2 = verts
+    a, b, c = table[(s2, t2)], table[(s1, t2)], table[(s1, t1)]
     return rank(block2x2(a, b, None, c)) + rank(b) - rank(vstack(b, c)) - rank(hstack(a, b))
 
 

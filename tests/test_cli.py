@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gridpersist
 from gridpersist import cli, compression, grid
 from gridpersist.cli import build_parser, main
 from gridpersist.pmod import parse_pmod
@@ -201,6 +204,14 @@ class TestBench:
             assert int(r["intervals"]) > 0
             assert int(r["path_pairs"]) > 0
 
+    def test_bad_lists_are_usage_errors(self, capsys):
+        for flag, value in (("--n", "4,x"), ("--n", "0"), ("--n", ""), ("--d", "-1"), ("--d", "1,,2")):
+            code, out, err = run_cli(capsys, "bench", flag, value, "--reps", "1")
+            assert code == 1 and out == "", (flag, value)
+            assert err.startswith("usage: ") and f"argument {flag}: expected comma-separated" in err
+        args = build_parser().parse_args(["bench", "--d", "0,5"])
+        assert (args.n, args.d) == ([4, 8, 16], [0, 5])
+
     def test_interval_column_matches_enumeration(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--n", "4", "--d", "1", "--reps", "1")
         rows = list(csv.DictReader(io.StringIO(out)))
@@ -209,9 +220,11 @@ class TestBench:
 
 class TestEntryPoint:
     def test_installed_script(self):
+        # the package this suite imports, also when pytest found it through its pythonpath
+        src = str(Path(gridpersist.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "gridpersist.cli", "intervals", "2", "3", "--count"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0
         assert proc.stdout == "27\n"

@@ -12,9 +12,18 @@ from pathlib import Path
 import pytest
 
 import gridpersist
+from gridpersist import mobius
 from gridpersist.intervals import Interval, enumerate_intervals
 from gridpersist.mobius import _mobius_operator, mobius_invert, mu_prime
-from oracles import brute_force_mobius, cover_sum_inversion, covers, join_covers, leq, zeta_act
+from oracles import (
+    brute_force_mobius,
+    cover_subset_joins,
+    cover_sum_inversion,
+    covers,
+    join_covers,
+    leq,
+    zeta_act,
+)
 
 iv = Interval.from_string
 
@@ -151,6 +160,25 @@ class TestOperator:
         g = mobius_invert(f, m, n)
         assert g == cover_sum_inversion(f, m, n)
         assert all(type(v) is int for v in g.values())
+
+    @pytest.mark.parametrize("m,n", SMALL_GRIDS + [(3, 5), (16, 2)])
+    def test_entries_equal_the_cover_walk(self, m, n):
+        # unlike the inversion test, a wrong join fails here even where the signs cancel
+        intervals = enumerate_intervals(m, n)
+        want = Counter((I, join, (-1) ** size)
+                       for I in intervals for size, join in cover_subset_joins(I, m, n))
+        I_idx, J_idx, sign = (a.tolist() for a in _mobius_operator(m, n))
+        assert Counter((intervals[a], intervals[b], s) for a, b, s in zip(I_idx, J_idx, sign)) == want
+        assert Counter((I, join, s) for I in intervals
+                       for s, join in mobius.cover_subset_joins(I, m, n)) == want
+
+    @pytest.mark.parametrize("text", ["1..1:[1,4]", "3..3:[1,1]", "1..2:[3,4];[1,3]"])
+    def test_interval_outside_the_grid_rejected(self, text):
+        I = iv(text)
+        with pytest.raises(ValueError, match="does not fit in a 2 x 3 grid"):
+            mu_prime(I, I, 2, 3)
+        with pytest.raises(ValueError, match="does not fit in a 2 x 3 grid"):
+            next(mobius.cover_subset_joins(I, 2, 3))
 
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 2)])
     def test_exact_beyond_int64(self, m, n):

@@ -119,6 +119,10 @@ REJECTS = [
     ("4000-digit modulus", _replace_line(GOOD, "field 2", "field " + "9" * 4000), 2),
     ("5000-digit modulus", _replace_line(GOOD, "field 2", "field " + "1" * 5000), 2),
     ("5000-digit grid size", _replace_line(GOOD, "grid 2 2", "grid " + "1" * 5000 + " 2"), 3),
+    ("4000-digit grid size", _replace_line(GOOD, "grid 2 2", "grid 0 " + "9" * 4000), 3),
+    ("4000-digit dim column", _replace_line(GOOD, "dim 1 1 1", "dim 1 " + "9" * 4000 + " 1"), 4),
+    ("4000-digit dimension", _replace_line(GOOD, "dim 1 1 1", "dim 1 1 " + "9" * 4000), 4),
+    ("4000-digit map foot", _replace_line(GOOD, "map h 1 1", "map h 1 " + "9" * 4000), 8),
     (
         "zero-dim map block",
         "PMOD 1\nfield 2\ngrid 1 2\ndim 1 1 1\ndim 1 2 0\nmap h 1 1\n0\nEND\n",
@@ -132,6 +136,10 @@ REJECT_MESSAGES = {
     "4000-digit modulus": "line 2: field modulus of 4000 digits is not below 2**16",
     "5000-digit modulus": "line 2: integer of 5000 characters is too long",
     "5000-digit grid size": "line 3: integer of 5000 characters is too long",
+    "4000-digit grid size": "line 3: grid sizes must be positive: height 0, width of 4000 digits",
+    "4000-digit dim column": "line 4: vertex (row 1, column of 4000 digits) outside the grid",
+    "4000-digit dimension": "line 4: dimension of 4000 digits exceeds the bound 1024",
+    "4000-digit map foot": "line 8: arrow (row 1, column of 4000 digits) has no h successor in the grid",
 }
 
 
