@@ -45,15 +45,13 @@ from .grid import (
     PersistenceModule,
     conjugate,
     dimension_vector,
-    direct_sum,
     format_dimvec,
-    interval_module,
     path_map_table,
     rank_invariant,
     validate,
 )
 from .intervals import Interval, enumerate_intervals, interval_contains_rectangle
-from .mobius import mobius_invert, mu_prime
+from .mobius import mobius_invert
 from .pmod import (
     PmodError,
     format_interval_function,

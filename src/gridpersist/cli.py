@@ -12,7 +12,7 @@ import io
 import sys
 import time
 
-from .approximation import dimvec_of_sum, interval_approximation, rank_of_sum
+from .approximation import interval_approximation, rank_of_sum
 from .compression import compressed_multiplicity_function
 from .ffmat import FieldSpec
 from .generators import (
@@ -64,7 +64,7 @@ def _read_module(path: str):
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(PARSE_ERROR)
     try:
@@ -107,14 +107,9 @@ def cmd_verify(args) -> int:
         if got != r:
             print(f"MISMATCH rank at {src} -> {dst}: module {r}, approximation {got}")
             return VERIFY_MISMATCH
-    dims = dimension_vector(module)
-    approx_dims = dimvec_of_sum(approx)
-    if dims != approx_dims:
-        print(f"MISMATCH dimension vector: module {format_dimvec(dims, module.grid.m, module.grid.n)}, "
-              f"approximation {format_dimvec(approx_dims, module.grid.m, module.grid.n)}")
-        return VERIFY_MISMATCH
+    # the pairs (v, v) include the dimension vector: rank M(v -> v) = dim M_v
     print(f"PASS rank invariant preserved on {len(ranks)} pairs, "
-          f"dimension vector {format_dimvec(dims, module.grid.m, module.grid.n)}")
+          f"dimension vector {format_dimvec(dimension_vector(module), module.grid.m, module.grid.n)}")
     return 0
 
 

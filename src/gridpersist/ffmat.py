@@ -83,8 +83,7 @@ class FFMatrix:
     __slots__ = ("p", "data")
 
     def __init__(self, data, p: int):
-        if not _is_prime(p) or not 2 <= p < 2**16:
-            raise ValueError(f"invalid modulus {p!r}")
+        FieldSpec(p)  # raises ValueError unless p is a prime in [2, 2**16)
         arr = np.asarray(data, dtype=np.int64)
         if arr.ndim != 2:
             raise ShapeError(f"matrix data must be two-dimensional, got shape {arr.shape}")
@@ -129,9 +128,6 @@ class FFMatrix:
         if not isinstance(other, FFMatrix):
             return NotImplemented
         return self.p == other.p and self.shape == other.shape and bool(np.array_equal(self.data, other.data))
-
-    def __matmul__(self, other: "FFMatrix") -> "FFMatrix":
-        return mat_mul(self, other)
 
     def __repr__(self) -> str:
         return f"FFMatrix(p={self.p}, shape={self.shape})"

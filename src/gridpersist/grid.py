@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .ffmat import FFMatrix, FieldSpec, ShapeError, block2x2, mat_inv, mat_mul, mat_ranks
+from .ffmat import FFMatrix, FieldSpec, ShapeError, mat_inv, mat_mul, mat_ranks
 
 # perfbench/tracer.py patches this name on this module; nothing here calls it
 from .ffmat import mat_rank  # noqa: F401
-from .intervals import Interval, Vertex
+from .intervals import Vertex
 
 
 @dataclass(frozen=True)
@@ -183,18 +183,6 @@ def format_dimvec(dims: Mapping[Vertex, int], m: int, n: int) -> str:
     return "(" + " / ".join(rows) + ")"
 
 
-def direct_sum(a: PersistenceModule, b: PersistenceModule) -> PersistenceModule:
-    """Vertexwise direct sum; grids and fields must agree."""
-    if a.grid != b.grid:
-        raise ValueError(f"grid mismatch: {a.grid} vs {b.grid}")
-    if a.field != b.field:
-        raise ValueError(f"field mismatch: {a.field} vs {b.field}")
-    dims = {v: a.dims[v] + b.dims[v] for v in a.grid.vertices()}
-    hmaps = {v: block2x2(a.hmaps[v], None, None, b.hmaps[v]) for v in a.grid.harrows()}
-    vmaps = {v: block2x2(a.vmaps[v], None, None, b.vmaps[v]) for v in a.grid.varrows()}
-    return PersistenceModule(a.grid, a.field, dims, hmaps, vmaps)
-
-
 def conjugate(module: PersistenceModule, bases: Mapping[Vertex, FFMatrix]) -> PersistenceModule:
     """Base change: each arrow matrix A(u -> v) becomes B_v A B_u^{-1}.
 
@@ -225,18 +213,3 @@ def conjugate(module: PersistenceModule, bases: Mapping[Vertex, FFMatrix]) -> Pe
     }
     return PersistenceModule(g, module.field, dict(module.dims), hmaps, vmaps)
 
-
-def interval_module(grid: Grid, I: Interval, field: FieldSpec) -> PersistenceModule:
-    """The interval module V_I: one-dimensional on I with identity arrows.
-
-    Vertices outside I get the zero space and all arrows not interior to
-    I the zero matrix of the forced shape.
-    """
-    if not I.fits(grid.m, grid.n):
-        raise ValueError(f"{I.to_string()} does not fit in a {grid.m} x {grid.n} grid")
-    vs = I.vertices()
-    dims = {v: 1 if v in vs else 0 for v in grid.vertices()}
-    one = FFMatrix.identity(1, field.p)
-    hmaps = {v: one for v in grid.harrows() if v in vs and (v[0], v[1] + 1) in vs}
-    vmaps = {v: one for v in grid.varrows() if v in vs and (v[0] + 1, v[1]) in vs}
-    return PersistenceModule(grid, field, dims, hmaps, vmaps)

@@ -57,18 +57,8 @@ class Interval(namedtuple("Interval", "s t rows")):
         # namedtuple's _make, and _replace through it, would skip __new__
         return cls(*iterable)
 
-    def span(self, i: int) -> tuple[int, int]:
-        """Column span (b_i, d_i) of row i; the row must belong to s..t."""
-        if not self.s <= i <= self.t:
-            raise KeyError(f"row {i} not in {self.s}..{self.t}")
-        return self.rows[i - self.s]
-
-    def fits(self, m: int, n: int) -> bool:
-        return self.t <= m and all(d <= n for _, d in self.rows)
-
     def vertices(self) -> set[Vertex]:
-        return {(i, j) for i in range(self.s, self.t + 1)
-                for j in range(self.span(i)[0], self.span(i)[1] + 1)}
+        return {(i, j) for i, (b, d) in enumerate(self.rows, self.s) for j in range(b, d + 1)}
 
     def to_string(self) -> str:
         body = ";".join(f"[{b},{d}]" for b, d in self.rows)

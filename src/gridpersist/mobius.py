@@ -36,16 +36,6 @@ from .intervals import Interval, enumerate_intervals
 IntervalFunction = dict[Interval, int]
 
 
-def mu_prime(I: Interval, J: Interval, m: int, n: int) -> int:
-    """Moebius function of the segment [I, J] of the interval poset.
-
-    Equals 1 when I = J, otherwise the sum of (-1)^|S| over nonempty
-    subsets S of Cov(I) whose join above I is J; 0 when no such subset
-    exists (in particular whenever I is not below J).
-    """
-    return int(I == J) + sum(sign for sign, join in cover_subset_joins(I, m, n) if join == J)
-
-
 def cover_subset_joins(I: Interval, m: int, n: int) -> Iterator[tuple[int, Interval]]:
     """Yield ((-1)^|S|, join(S)) over all nonempty subsets S of Cov(I),
     read from the operator's entries for I, which are one contiguous run."""

@@ -67,6 +67,12 @@ def _amount(noun: str, value: int) -> str:
     return f"{noun} {digits}" if len(digits) <= 6 else f"{noun} of {len(digits)} digits"
 
 
+def _word(noun: str, word: str) -> str:
+    """As _amount, for a word: quoted if short, else named by its length."""
+    quoted = repr(word)
+    return f"{noun} {quoted}" if len(quoted) <= 32 else f"{noun} of {len(word)} characters"
+
+
 def _vertex(i: int, j: int) -> str:
     return f"({_amount('row', i)}, {_amount('column', j)})"
 
@@ -162,7 +168,7 @@ def parse_pmod(text: str) -> PersistenceModule:
                 rowline, entries = take(f"a row of {cols} entries")
                 if _ENTRY_ROW.fullmatch(" ".join(entries)) is None:
                     bad = next(w for w in entries if not _is_natural(w.removeprefix("-")))
-                    raise PmodError(f"bad matrix entry {bad!r}", rowline)
+                    raise PmodError(_word("bad matrix entry", bad), rowline)
                 vals = _ints(entries, rowline)
                 if len(vals) != cols:
                     raise PmodError(f"expected {cols} entries, got {len(vals)}", rowline)
@@ -171,7 +177,7 @@ def parse_pmod(text: str) -> PersistenceModule:
                 body.append(vals)
             maps[(kind, i, j)] = FFMatrix(body, field.p)
         else:
-            raise PmodError(f"unexpected directive {words[0]!r}", lineno)
+            raise PmodError(_word("unexpected directive", words[0]), lineno)
 
     if pos < len(lines):
         raise PmodError("content after END", lines[pos][0])

@@ -8,7 +8,10 @@ shapes from the vertex set and ranks with naive_rank; FFMatrix only
 holds its matrices.  The poset helpers are interval operations only the
 tests use; the covers and their joins are walked here one subset at a
 time, apart from the package's Moebius operator, which builds them all
-at once.  block_multiplicity reads shapes off the vertex set too.
+at once.  mu_prime alone reads that operator, so the tests can check it
+against brute_force_mobius.  block_multiplicity reads shapes off the
+vertex set too.  interval_module and direct_sum build the modules whose
+decomposition a test knows in advance.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from gridpersist.compression import (
     TWO_SOURCES_ONE_SINK,
     TWO_SOURCES_TWO_SINKS,
 )
-from gridpersist.ffmat import FFMatrix, ShapeError, block2x2, hstack, vstack
-from gridpersist.grid import PersistenceModule
+from gridpersist import mobius
+from gridpersist.ffmat import FFMatrix, FieldSpec, ShapeError, block2x2, hstack, vstack
+from gridpersist.grid import Grid, PersistenceModule
 from gridpersist.intervals import Interval, Vertex, enumerate_intervals
 
 
@@ -74,6 +78,18 @@ def naive_mul(a: list[list[int]], b: list[list[int]], p: int, bcols: int = 0) ->
 
 # --- interval poset helpers ------------------------------------------
 
+def span(I: Interval, i: int) -> tuple[int, int]:
+    """Column span (b_i, d_i) of row i; the row must belong to s..t."""
+    if not I.s <= i <= I.t:
+        raise KeyError(f"row {i} not in {I.s}..{I.t}")
+    return I.rows[i - I.s]
+
+
+def fits(I: Interval, m: int, n: int) -> bool:
+    """Whether I lies inside the m x n grid."""
+    return I.t <= m and all(d <= n for _, d in I.rows)
+
+
 def vertex_count(I: Interval) -> int:
     return sum(d - b + 1 for b, d in I.rows)
 
@@ -82,7 +98,7 @@ def contains_vertex(I: Interval, v: Vertex) -> bool:
     i, j = v
     if not I.s <= i <= I.t:
         return False
-    b, d = I.span(i)
+    b, d = span(I, i)
     return b <= j <= d
 
 
@@ -127,8 +143,8 @@ def leq(I: Interval, J: Interval) -> bool:
     if I.s < J.s or I.t > J.t:
         return False
     for i in range(I.s, I.t + 1):
-        b, d = I.span(i)
-        bj, dj = J.span(i)
+        b, d = span(I, i)
+        bj, dj = span(J, i)
         if b < bj or d > dj:
             return False
     return True
@@ -144,18 +160,18 @@ def cover_candidates(I: Interval, m: int, n: int) -> list[tuple[str, Interval]]:
     """
     cands: list[tuple[str, Interval]] = []
     for k, (b, d) in enumerate(I.rows):
-        for tag, grows, span in (("left", b > 1, (b - 1, d)), ("right", d < n, (b, d + 1))):
+        for tag, grows, wider in (("left", b > 1, (b - 1, d)), ("right", d < n, (b, d + 1))):
             if grows:
-                rows = I.rows[:k] + (span,) + I.rows[k + 1:]
+                rows = I.rows[:k] + (wider,) + I.rows[k + 1:]
                 try:
                     cands.append((f"{tag}:{I.s + k}", I._replace(rows=rows)))
                 except ValueError:
                     pass  # the widened row breaks the staircase condition
     if I.t < m:
-        b_t = I.span(I.t)[0]
+        b_t = span(I, I.t)[0]
         cands.append(("above", Interval(I.s, I.t + 1, I.rows + ((b_t, b_t),))))
     if I.s > 1:
-        d_s = I.span(I.s)[1]
+        d_s = span(I, I.s)[1]
         cands.append(("below", Interval(I.s - 1, I.t, ((d_s, d_s),) + I.rows)))
     return cands
 
@@ -174,14 +190,14 @@ def join_cover_subset(I: Interval, tagged: Sequence[tuple[str, Interval]]) -> In
     t = max(J.t for J in members)
     spans: list[tuple[int, int]] = []
     for i in range(s, t + 1):
-        here = [J.span(i) for J in members if J.s <= i <= J.t]
+        here = [span(J, i) for J in members if J.s <= i <= J.t]
         spans.append((min(b for b, _ in here), max(d for _, d in here)))
     if "above" in tags and f"left:{I.t}" in tags:
         b, d = spans[I.t + 1 - s]
-        spans[I.t + 1 - s] = (I.span(I.t)[0] - 1, d)
+        spans[I.t + 1 - s] = (span(I, I.t)[0] - 1, d)
     if "below" in tags and f"right:{I.s}" in tags:
         b, d = spans[I.s - 1 - s]
-        spans[I.s - 1 - s] = (b, I.span(I.s)[1] + 1)
+        spans[I.s - 1 - s] = (b, span(I, I.s)[1] + 1)
     return Interval(s, t, tuple(spans))
 
 
@@ -201,7 +217,7 @@ def covers(I: Interval, m: int, n: int) -> tuple[Interval, ...]:
     extending a single row one step left or right or by starting a new
     row above the upper-left or below the lower-right corner.
     """
-    if not I.fits(m, n):
+    if not fits(I, m, n):
         raise ValueError(f"{I.to_string()} does not fit in a {m} x {n} grid")
     return tuple(sorted(J for _, J in cover_candidates(I, m, n)))
 
@@ -269,6 +285,17 @@ def cover_sum_inversion(f: dict[Interval, int], m: int, n: int) -> dict[Interval
     return out
 
 
+def mu_prime(I: Interval, J: Interval, m: int, n: int) -> int:
+    """Moebius function of the segment [I, J], read from the package's
+    operator through gridpersist.mobius.cover_subset_joins.
+
+    Equals 1 when I = J, otherwise the sum of (-1)^|S| over nonempty
+    subsets S of Cov(I) whose join above I is J; 0 when no such subset
+    exists (in particular whenever I is not below J).
+    """
+    return int(I == J) + sum(sign for sign, join in mobius.cover_subset_joins(I, m, n) if join == J)
+
+
 def brute_force_mobius(m: int, n: int) -> dict[tuple[Interval, Interval], int]:
     """Moebius function on all segments by the defining recursion.
 
@@ -329,6 +356,36 @@ def block_multiplicity(table, I: Interval) -> int:
     s1, s2, t1, t2 = verts
     a, b, c = table[(s2, t2)], table[(s1, t2)], table[(s1, t1)]
     return rank(block2x2(a, b, None, c)) + rank(b) - rank(vstack(b, c)) - rank(hstack(a, b))
+
+
+# --- modules with a known decomposition --------------------------------
+
+def direct_sum(a: PersistenceModule, b: PersistenceModule) -> PersistenceModule:
+    """Vertexwise direct sum; grids and fields must agree."""
+    if a.grid != b.grid:
+        raise ValueError(f"grid mismatch: {a.grid} vs {b.grid}")
+    if a.field != b.field:
+        raise ValueError(f"field mismatch: {a.field} vs {b.field}")
+    dims = {v: a.dims[v] + b.dims[v] for v in a.grid.vertices()}
+    hmaps = {v: block2x2(a.hmaps[v], None, None, b.hmaps[v]) for v in a.grid.harrows()}
+    vmaps = {v: block2x2(a.vmaps[v], None, None, b.vmaps[v]) for v in a.grid.varrows()}
+    return PersistenceModule(a.grid, a.field, dims, hmaps, vmaps)
+
+
+def interval_module(grid: Grid, I: Interval, field: FieldSpec) -> PersistenceModule:
+    """The interval module V_I: one-dimensional on I with identity arrows.
+
+    Vertices outside I get the zero space and all arrows not interior to
+    I the zero matrix of the forced shape.
+    """
+    if not fits(I, grid.m, grid.n):
+        raise ValueError(f"{I.to_string()} does not fit in a {grid.m} x {grid.n} grid")
+    vs = I.vertices()
+    dims = {v: 1 if v in vs else 0 for v in grid.vertices()}
+    one = FFMatrix.identity(1, field.p)
+    hmaps = {v: one for v in grid.harrows() if v in vs and (v[0], v[1] + 1) in vs}
+    vmaps = {v: one for v in grid.varrows() if v in vs and (v[0] + 1, v[1]) in vs}
+    return PersistenceModule(grid, field, dims, hmaps, vmaps)
 
 
 # --- quiver restriction and the Hom-dimension oracle -------------------
@@ -622,8 +679,8 @@ def intersection_components(I: Interval, J: Interval) -> tuple[Interval, ...]:
     runs: list[list[tuple[int, tuple[int, int]]]] = []
     current: list[tuple[int, tuple[int, int]]] = []
     for i in range(lo, hi + 1):
-        b = max(I.span(i)[0], J.span(i)[0])
-        d = min(I.span(i)[1], J.span(i)[1])
+        b = max(span(I, i)[0], span(J, i)[0])
+        d = min(span(I, i)[1], span(J, i)[1])
         if b > d:
             if current:
                 runs.append(current)
@@ -637,7 +694,7 @@ def intersection_components(I: Interval, J: Interval) -> tuple[Interval, ...]:
         current.append((i, (b, d)))
     if current:
         runs.append(current)
-    out = [Interval(run[0][0], run[-1][0], tuple(span for _, span in run)) for run in runs]
+    out = [Interval(run[0][0], run[-1][0], tuple(row for _, row in run)) for run in runs]
     return tuple(sorted(out))
 
 

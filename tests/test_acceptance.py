@@ -34,19 +34,20 @@ from gridpersist.generators import (
 )
 from gridpersist.grid import (
     dimension_vector,
-    direct_sum,
     format_dimvec,
-    interval_module,
     rank_invariant,
 )
 from gridpersist.intervals import Interval, enumerate_intervals
-from gridpersist.mobius import mobius_invert, mu_prime
+from gridpersist.mobius import mobius_invert
 from oracles import (
     brute_force_mobius,
     convex_closure,
     covers,
+    direct_sum,
     hom_multiplicity,
+    interval_module,
     join_covers,
+    mu_prime,
     vertex_count,
     zeta_act,
 )

@@ -25,13 +25,12 @@ from gridpersist.generators import (
 from gridpersist.grid import (
     Grid,
     dimension_vector,
-    direct_sum,
     format_dimvec,
-    interval_module,
     rank_invariant,
 )
 from gridpersist.intervals import Interval
 from gridpersist.mobius import mobius_invert
+from oracles import direct_sum, interval_module
 
 iv = Interval.from_string
 

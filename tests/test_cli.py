@@ -13,7 +13,9 @@ import pytest
 
 import gridpersist
 from gridpersist import cli, compression, grid
+from gridpersist.approximation import SignedIntervalSum
 from gridpersist.cli import build_parser, main
+from gridpersist.intervals import Interval
 from gridpersist.pmod import parse_pmod
 
 
@@ -107,6 +109,12 @@ class TestCompress:
         code, _, err = run_cli(capsys, "compress", "/nonexistent.pmod")
         assert code == 2 and "error" in err
 
+    def test_undecodable_file_names_its_path(self, tmp_path, capsys):
+        path = tmp_path / "binary.pmod"
+        path.write_bytes(b"\xffPMOD 1\n")
+        code, _, err = run_cli(capsys, "compress", str(path))
+        assert code == 2 and err.startswith(f"error: cannot read {path}: ")
+
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.pmod"
         bad.write_text("PMOD 2\n")
@@ -168,6 +176,21 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", example_file)
         assert code == 3
         assert out.startswith("MISMATCH rank at ") and out.count("\n") == 1
+
+    def test_dimension_mismatch_is_a_rank_mismatch(self, example_file, capsys, monkeypatch):
+        # a one-vertex interval changes only the rank along (v, v), which is dim M_v
+        point = Interval(1, 1, ((2, 2),))
+        approximate = cli.interval_approximation
+
+        def off_by_one(module):
+            approx = approximate(module)
+            coeffs = {**approx.coeffs, point: approx.coeffs.get(point, 0) + 1}
+            return SignedIntervalSum(approx.m, approx.n, {I: c for I, c in coeffs.items() if c})
+
+        monkeypatch.setattr(cli, "interval_approximation", off_by_one)
+        code, out, _ = run_cli(capsys, "verify", example_file)
+        assert code == 3
+        assert out == "MISMATCH rank at (1, 2) -> (1, 2): module 1, approximation 2\n"
 
     def test_random_interval_sum_passes(self, tmp_path, capsys):
         path = tmp_path / "sum.pmod"

@@ -29,8 +29,6 @@ from gridpersist.grid import (
     Grid,
     PersistenceModule,
     conjugate,
-    direct_sum,
-    interval_module,
     path_map_table,
     rank_invariant,
 )
@@ -39,12 +37,15 @@ from oracles import (
     QuiverRep,
     almost_split_fixtures,
     block_multiplicity,
+    direct_sum,
     hom_dim,
     hom_multiplicity,
+    interval_module,
     is_rectangle,
     leq,
     naive_rank,
     restrict,
+    span,
     ss_interval_rep,
     ss_restrict,
     zeta_act,
@@ -219,7 +220,7 @@ def module_with_gaps(n, k, gaps, field, rng):
     in gaps, so those vertices have dimension zero."""
     grid = Grid(2, n)
     allowed = [I for I in enumerate_intervals(2, n)
-               if not any(I.s <= i <= I.t and I.span(i)[0] <= j <= I.span(i)[1] for i, j in gaps)]
+               if not any(I.s <= i <= I.t and span(I, i)[0] <= j <= span(I, i)[1] for i, j in gaps)]
     module = PersistenceModule(grid, field, {v: 0 for v in grid.vertices()})
     for _ in range(k):
         module = direct_sum(module, interval_module(grid, allowed[int(rng.integers(len(allowed)))], field))

@@ -83,9 +83,12 @@ class TestFieldSpec:
             assert FieldSpec(p).p == p
 
     def test_rejects_composites_units_and_large(self):
-        for bad in [0, 1, 4, 6, 9, 2**16 + 1, 65536]:
+        # FFMatrix takes its modulus by the same rule; a float one would give float64 entries
+        for bad in [0, 1, 4, 6, 9, 2**16 + 1, 65536, 5.0]:
             with pytest.raises(ValueError):
                 FieldSpec(bad)
+            with pytest.raises(ValueError):
+                FFMatrix([[1, 2], [3, 4]], bad)
 
 
 class TestRank:

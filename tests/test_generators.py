@@ -19,15 +19,13 @@ from gridpersist.grid import (
     PersistenceModule,
     conjugate,
     dimension_vector,
-    direct_sum,
     format_dimvec,
-    interval_module,
     rank_invariant,
     validate,
 )
 from gridpersist.intervals import enumerate_intervals
 from gridpersist.pmod import print_pmod
-from oracles import contains_vertex
+from oracles import contains_vertex, direct_sum, interval_module
 
 
 class TestRandomModule:

@@ -12,15 +12,13 @@ from gridpersist.grid import (
     PersistenceModule,
     conjugate,
     dimension_vector,
-    direct_sum,
     format_dimvec,
-    interval_module,
     path_map_table,
     rank_invariant,
     validate,
 )
 from gridpersist.intervals import Interval, enumerate_intervals
-from oracles import contains_vertex, naive_mul
+from oracles import contains_vertex, direct_sum, interval_module, naive_mul
 
 
 def two_by_two(p=2, **maps):

@@ -15,6 +15,7 @@ from oracles import (
     cc_essential,
     convex_closure,
     covers,
+    fits,
     from_vertices,
     intersection_components,
     is_rectangle,
@@ -22,6 +23,7 @@ from oracles import (
     leq,
     meet_over,
     rectangle_from,
+    span,
     ss_essential,
     subset_interval_count,
     upper_set,
@@ -36,7 +38,9 @@ def iv(text: str) -> Interval:
 class TestIntervalType:
     def test_valid_staircase(self):
         I = Interval(1, 2, ((2, 3), (1, 2)))
-        assert I.span(1) == (2, 3) and I.span(2) == (1, 2)
+        assert span(I, 1) == (2, 3) and span(I, 2) == (1, 2)
+        with pytest.raises(KeyError):
+            span(I, 3)
         assert vertex_count(I) == 4
 
     def test_staircase_violations_rejected(self):
@@ -142,7 +146,7 @@ class TestEnumeration:
             assert len(set(intervals)) == len(intervals)
 
     def test_all_fit(self):
-        assert all(I.fits(2, 4) for I in enumerate_intervals(2, 4))
+        assert all(fits(I, 2, 4) for I in enumerate_intervals(2, 4))
 
 
 class TestOrder:

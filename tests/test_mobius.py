@@ -14,7 +14,7 @@ import pytest
 import gridpersist
 from gridpersist import mobius
 from gridpersist.intervals import Interval, enumerate_intervals
-from gridpersist.mobius import _mobius_operator, mobius_invert, mu_prime
+from gridpersist.mobius import _mobius_operator, mobius_invert
 from oracles import (
     brute_force_mobius,
     cover_subset_joins,
@@ -22,6 +22,7 @@ from oracles import (
     covers,
     join_covers,
     leq,
+    mu_prime,
     zeta_act,
 )
 

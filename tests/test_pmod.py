@@ -123,6 +123,8 @@ REJECTS = [
     ("4000-digit dim column", _replace_line(GOOD, "dim 1 1 1", "dim 1 " + "9" * 4000 + " 1"), 4),
     ("4000-digit dimension", _replace_line(GOOD, "dim 1 1 1", "dim 1 1 " + "9" * 4000), 4),
     ("4000-digit map foot", _replace_line(GOOD, "map h 1 1", "map h 1 " + "9" * 4000), 8),
+    ("4000-character entry", _replace_line(GOOD, "map h 1 1\n1", "map h 1 1\n" + "x" * 4000), 9),
+    ("4000-character directive", _replace_line(GOOD, "map v 1 2", "y" * 4000 + " v 1 2"), 14),
     (
         "zero-dim map block",
         "PMOD 1\nfield 2\ngrid 1 2\ndim 1 1 1\ndim 1 2 0\nmap h 1 1\n0\nEND\n",
@@ -131,7 +133,7 @@ REJECTS = [
 ]
 
 
-# exact messages of some REJECTS: long numbers are named by their length, not echoed
+# exact messages of some REJECTS: long numbers and words are named by their length, not echoed
 REJECT_MESSAGES = {
     "4000-digit modulus": "line 2: field modulus of 4000 digits is not below 2**16",
     "5000-digit modulus": "line 2: integer of 5000 characters is too long",
@@ -140,6 +142,9 @@ REJECT_MESSAGES = {
     "4000-digit dim column": "line 4: vertex (row 1, column of 4000 digits) outside the grid",
     "4000-digit dimension": "line 4: dimension of 4000 digits exceeds the bound 1024",
     "4000-digit map foot": "line 8: arrow (row 1, column of 4000 digits) has no h successor in the grid",
+    "4000-character entry": "line 9: bad matrix entry of 4000 characters",
+    "4000-character directive": "line 14: unexpected directive of 4000 characters",
+    "unknown directive": "line 14: unexpected directive 'spam'",
 }
 
 
