@@ -25,7 +25,8 @@ from .generators import (
 from .grid import dimension_vector, format_dimvec, rank_invariant
 from .intervals import enumerate_intervals
 from .mobius import mobius_invert
-from .pmod import PmodError, format_interval_function, format_signed_sum, parse_pmod, print_pmod
+from . import pmod
+from .pmod import PmodError, format_interval_function, format_signed_sum, print_pmod
 
 USAGE_ERROR = 1
 PARSE_ERROR = 2
@@ -58,6 +59,13 @@ def _write_output(text: str, path: str | None) -> None:
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def parse_pmod(text: str):
+    """pmod.parse_pmod for the commands that read a module.  They handle
+    grids of height at most 2, so a taller grid fails at its grid line.
+    perfbench/tracer.py wraps this name with a one-argument wrapper."""
+    return pmod.parse_pmod(text, max_height=2)
 
 
 def _read_module(path: str):

@@ -129,6 +129,14 @@ class TestCompress:
         assert code == 2 and "height" in err
 
 
+    def test_tall_grid_fails_before_its_body(self, tmp_path, capsys):
+        # the line after the grid line is malformed; the height is reported
+        path = tmp_path / "tall.pmod"
+        path.write_text("PMOD 1\nfield 2\ngrid 3 1\nspam\n")
+        code, _, err = run_cli(capsys, "compress", str(path))
+        assert code == 2 and err == f"error: {path}: line 3: grid height 3 exceeds the bound 2\n"
+
+
 class TestApprox:
     def test_example_coefficients(self, example_file, capsys):
         code, out, _ = run_cli(capsys, "approx", example_file)

@@ -6,10 +6,12 @@ import time
 import tracemalloc
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridpersist.pmod as pmod
 from gridpersist.ffmat import FieldSpec
 from gridpersist.generators import example_module, make_rng, random_module, staircase_family_module
 from gridpersist.grid import Grid, PersistenceModule, rank_invariant
@@ -188,6 +190,205 @@ class TestRejection:
         bad = _replace_line(GOOD, "map h 2 1\n1", "map h 2 1\n0")
         with pytest.raises(PmodError, match=r"square at \(1, 1\)"):
             parse_pmod(bad)
+
+
+def _rows_doc(p: int, blocks: int) -> tuple[list[str], int, int, int]:
+    """A valid document on a 1 x (blocks + 1) grid as lines, and the index,
+    height and width of the rows under test: those of the middle block.
+    With height 1 no square has to commute."""
+    dims = [3, 4, 4, 3][: blocks + 1]
+    lines = ["PMOD 1", f"field {p}", f"grid 1 {len(dims)}"]
+    lines += [f"dim 1 {j} {k}" for j, k in enumerate(dims, start=1)]
+    rng = make_rng(p)
+    for j in range(1, len(dims)):
+        lines.append(f"map h 1 {j}")
+        if j == (blocks + 1) // 2:
+            first = len(lines)
+        lines += [" ".join(map(str, rng.integers(0, p, dims[j - 1]))) for _ in range(dims[j])]
+    lines.append("END")
+    middle = (blocks + 1) // 2
+    return lines, first, dims[middle], dims[middle - 1]
+
+
+def _text(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
+# (word put last in a row, exact message after "line L: ")
+BAD_WORDS = [
+    ("+1", "bad matrix entry '+1'"),
+    ("1_0", "bad matrix entry '1_0'"),
+    ("\u00b2", "bad matrix entry '\u00b2'"),
+    ("\u0663", "bad matrix entry '\u0663'"),  # ARABIC-INDIC DIGIT THREE: int() reads it as 3
+    ("--1", "bad matrix entry '--1'"),
+    ("1-2", "bad matrix entry '1-2'"),
+    ("1-", "bad matrix entry '1-'"),
+    ("-", "bad matrix entry '-'"),
+    ("-1", "entries must be residues in [0, {p})"),
+    ("{p}", "entries must be residues in [0, {p})"),
+    ("1" * 5000, "integer of 5000 characters is too long"),
+]
+ROW_AT = {"first": lambda height: 0, "middle": lambda height: height // 2, "last": lambda height: height - 1}
+DOCS = pytest.mark.parametrize("blocks", [1, 3], ids=["one block", "three blocks"])
+FIELDS = pytest.mark.parametrize("p", [2, 65521])
+
+
+class TestEntryRows:
+    """The array pass refuses every bad row, and the per-row loop then names
+    the first one with its exact message and line."""
+
+    @FIELDS
+    @DOCS
+    @pytest.mark.parametrize("where", list(ROW_AT))
+    @pytest.mark.parametrize("word,message", BAD_WORDS, ids=[w[:8] for w, _ in BAD_WORDS])
+    def test_bad_word(self, p, blocks, where, word, message):
+        lines, first, height, _ = _rows_doc(p, blocks)
+        at = first + ROW_AT[where](height)
+        lines[at] = lines[at].rsplit(" ", 1)[0] + " " + word.format(p=p)
+        with pytest.raises(PmodError) as err:
+            parse_pmod(_text(lines))
+        assert str(err.value) == f"line {at + 1}: " + message.format(p=p)
+
+    @FIELDS
+    @DOCS
+    @pytest.mark.parametrize("where", list(ROW_AT))
+    @pytest.mark.parametrize("extra", [1, -1], ids=["one too many", "one too few"])
+    def test_word_count_with_the_block_total_right(self, p, blocks, where, extra):
+        # the row gains (or loses) a word and a neighbour loses (or gains) one
+        lines, first, height, width = _rows_doc(p, blocks)
+        row = ROW_AT[where](height)
+        other = row + 1 if row + 1 < height else row - 1
+        for k, change in ((row, extra), (other, -extra)):
+            words = lines[first + k].split()
+            lines[first + k] = " ".join(words + ["0"] if change > 0 else words[:-1])
+        bad, change = min((row, extra), (other, -extra))
+        with pytest.raises(PmodError) as err:
+            parse_pmod(_text(lines))
+        assert str(err.value) == f"line {first + bad + 1}: expected {width} entries, got {width + change}"
+
+    @FIELDS
+    @DOCS
+    @pytest.mark.parametrize("label,clean_first,spell", [
+        ("tabs", None, "\t".join),
+        ("double spaces", None, "  ".join),
+        ("-0", "0", lambda words: " ".join(["-0"] + words[1:])),
+        ("25 digits", "1", lambda words: " ".join(["0" * 24 + "1"] + words[1:])),
+    ])
+    def test_rows_the_loop_accepts(self, p, blocks, label, clean_first, spell):
+        lines, first, height, _ = _rows_doc(p, blocks)
+        at = first + height // 2
+        words = lines[at].split()
+        if clean_first is not None:
+            words[0] = clean_first
+        lines[at] = " ".join(words)
+        clean = parse_pmod(_text(lines))
+        lines[at] = spell(words)
+        assert parse_pmod(_text(lines)).hmaps == clean.hmaps
+
+    @FIELDS
+    @DOCS
+    def test_double_space_in_place_of_a_word(self, p, blocks):
+        # the row's gaps still count a full row, but it holds one word less
+        lines, first, height, width = _rows_doc(p, blocks)
+        at = first + height // 2
+        words = lines[at].split()
+        lines[at] = " ".join(words[:-2]) + "  " + words[-1]
+        with pytest.raises(PmodError) as err:
+            parse_pmod(_text(lines))
+        assert str(err.value) == f"line {at + 1}: expected {width} entries, got {width - 1}"
+
+    @pytest.mark.parametrize("rows,widths,fits", [
+        ("1 2\n3 45 6", [2, 3], True),
+        ("-1 0\n-0", [2, 1], True),
+        ("1" * 18 + "\n-" + "0" * 18, [1, 1], True),
+        ("1" * 19, [1], False),
+        ("0" * 19, [1], False),
+        ("1  2", [3], False),
+        ("1 \n2", [2, 1], False),
+        ("1 2\n3", [1, 2], False),
+        ("1\t2", [2], False),
+        ("1 -", [2], False),
+        ("1-2", [1], False),
+        ("-", [1], False),
+    ])
+    def test_array_grammar(self, rows, widths, fits):
+        a = np.frombuffer(rows.encode("ascii"), dtype=np.uint8)
+        assert pmod._in_array_grammar(a, np.array(widths)) is fits
+
+    @pytest.mark.parametrize("fault", ["duplicate map block", "unknown directive", "ends in a block",
+                                       "content after END", "missing map block"])
+    def test_bad_row_is_reported_before_a_later_fault(self, fault):
+        lines, first, _, _ = _rows_doc(2, 3)
+        lines[first + 1] = "1 x 0"
+        last_map = lines.index("map h 1 3")
+        if fault == "duplicate map block":
+            lines[last_map] = "map h 1 2"
+        elif fault == "unknown directive":
+            lines[last_map] = "spam"
+        elif fault == "ends in a block":
+            del lines[-2:]
+        elif fault == "content after END":
+            lines.append("dim 1 1 1")
+        else:
+            del lines[last_map:-1]
+        with pytest.raises(PmodError) as err:
+            parse_pmod(_text(lines))
+        assert str(err.value) == f"line {first + 2}: bad matrix entry 'x'"
+
+    def test_printed_modules_never_reach_the_row_loop(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the per-row loop read a printed module")
+
+        monkeypatch.setattr(pmod, "_entries_by_row", refuse)
+        modules = [random_module(4, 20, FieldSpec(p), make_rng(p)) for p in (2, 3, 65521)]
+        for m in modules + [example_module()]:
+            back = parse_pmod(print_pmod(m))
+            assert (back.field, back.dims) == (m.field, m.dims)
+            assert back.hmaps == m.hmaps and back.vmaps == m.vmaps
+
+
+class TestTallGrid:
+    TALL = "PMOD 1\nfield 2\ngrid 3 1\nspam\n"
+
+    def test_library_reads_past_the_grid_line(self):
+        with pytest.raises(PmodError) as err:
+            parse_pmod(self.TALL)
+        assert str(err.value) == "line 4: unexpected directive 'spam'"
+
+    def test_max_height_fails_at_the_grid_line(self):
+        with pytest.raises(PmodError) as err:
+            parse_pmod(self.TALL, max_height=2)
+        assert str(err.value) == "line 3: grid height 3 exceeds the bound 2"
+        with pytest.raises(PmodError) as err:
+            parse_pmod(self.TALL.replace("grid 3", "grid " + "9" * 4000), max_height=2)
+        assert str(err.value) == "line 3: grid height of 4000 digits exceeds the bound 2"
+
+
+def _print_by_rows(module: PersistenceModule) -> str:
+    """print_pmod written one Python row at a time, as an oracle."""
+    g = module.grid
+    out = ["PMOD 1", f"field {module.field.p}", f"grid {g.m} {g.n}"]
+    out += [f"dim {i} {j} {module.dims[(i, j)]}" for i, j in g.vertices()]
+    for kind, feet, mats in (("h", g.harrows(), module.hmaps), ("v", g.varrows(), module.vmaps)):
+        for v in feet:
+            if mats[v].rows and mats[v].cols:
+                out.append(f"map {kind} {v[0]} {v[1]}")
+                out += [" ".join(map(str, row)) for row in mats[v].data.tolist()]
+    return "\n".join(out + ["END"]) + "\n"
+
+
+class TestPrinting:
+    @pytest.mark.parametrize("p", [2, 3, 11, 101, 65521])
+    def test_equals_the_row_by_row_text(self, p):
+        m = random_module(3, 7, FieldSpec(p), make_rng(p))
+        assert print_pmod(m) == _print_by_rows(m)
+
+    @pytest.mark.parametrize("p", [2, 3, 11, 101, 65521])
+    def test_entries_of_every_length(self, p):
+        values = [v for v in (0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10000, p - 1) if v < p]
+        data = np.array([values, values[::-1]], dtype=np.int64)
+        rows = [" ".join(map(str, values)), " ".join(map(str, values[::-1]))]
+        assert pmod._block_text(data, p) == "\n".join(rows) + "\n"
 
 
 def _small(top: int = 3):
