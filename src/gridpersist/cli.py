@@ -1,7 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 usage error, 2 parse or validation failure,
-3 verification mismatch.
+Exit codes: 0 success, 1 usage error, 2 parse or validation failure
+or a file that cannot be read or written, 3 verification mismatch.
 """
 
 from __future__ import annotations
@@ -56,9 +56,13 @@ def _int_list(least: int):
 def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        raise SystemExit(PARSE_ERROR)
 
 
 def parse_pmod(text: str):

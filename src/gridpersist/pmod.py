@@ -19,15 +19,13 @@ omitted.  Entries are residues in [0, p).  A dimension is at most
 MAX_DIM.  Documents describing a non-commuting family of matrices are
 rejected.
 
-Entry rows are read in two steps.  The directive walk only collects
-each map block's rows.  One array pass over the rows of all blocks
-then checks their bytes: ASCII digits, single spaces, a '-' only at
-the start of a word and before a digit, no run of more than 18 digits,
-each row holding its block's number of words, every value in [0, p).
-It converts them with one numpy call.  If the pass refuses a row, the
-per-row loop reads every block again.  That loop also accepts what the
-pass leaves to it (tabs, runs of spaces, long zero-padded numbers), and
-it writes the message and line number of the first bad row.
+Entry rows have one definition, the text print_pmod writes for a
+block.  When the directive walk reaches a map block, numpy reads the
+block's rows in one call, and that reading stands only if the values
+are residues and print_pmod would write them as the same text.  Any
+other block goes to the per-row loop.  That loop also accepts tabs,
+runs of spaces, '-0' and zero-padded numbers, and it writes the message
+and line number of the block's first bad row.
 """
 
 from __future__ import annotations
@@ -97,70 +95,6 @@ def _ints(words: list[str], lineno: int) -> list[int]:
         raise PmodError(f"integer of {max(map(len, words))} characters is too long", lineno) from None
 
 
-# the array pass reads words of at most this many digits, so each fits in int64
-_ARRAY_DIGITS = 18
-
-
-def _has_run(mask: np.ndarray, length: int) -> bool:
-    """Whether mask holds `length` consecutive True values."""
-    width = 1
-    while width < length:
-        step = min(width, length - width)
-        mask = mask[:-step] & mask[step:]  # True where a run of width + step starts
-        width += step
-    return bool(mask.any())
-
-
-def _in_array_grammar(a: np.ndarray, widths: np.ndarray) -> bool:
-    """Whether the bytes a hold rows of words -?[0-9]{1,18}, one space
-    between words and a newline between rows, row r holding widths[r]
-    words.  Every temporary with one element per byte is uint8 or bool,
-    and at most four are alive at once.
-    """
-    digit = (a - 48) < 10  # uint8 wraps, so only '0'..'9' land below 10
-    if _has_run(digit, _ARRAY_DIGITS + 1):
-        return False
-    # a '-' is not last, not after a digit and not before a non-digit
-    minus = a == 45
-    if minus[-1] or (minus[1:] & digit[:-1]).any() or (minus[:-1] > digit[1:]).any():
-        return False
-    gap = a == 32
-    gap |= a == 10
-    # nothing else, and no two gaps touch (rows are stripped, so none is empty)
-    if np.count_nonzero(digit) + np.count_nonzero(minus) + np.count_nonzero(gap) < a.size:
-        return False
-    if (gap[1:] & gap[:-1]).any():
-        return False
-    # a row's words end at the gaps up to its newline, so their count is
-    # the step between the positions of consecutive newlines among the gaps
-    ends = np.concatenate(([0], np.flatnonzero(a[gap] == 10) + 1, [np.count_nonzero(gap) + 1]))
-    return np.array_equal(np.diff(ends), widths)
-
-
-def _entries_by_array(rows: list[str], shapes: list[tuple[int, int]], p: int) -> list[np.ndarray] | None:
-    """The entries of every block from one pass over all their rows, or
-    None if a row is outside the pass's grammar or holds a bad entry.
-    Each row is a stripped, nonempty logical line."""
-    if not rows:
-        return [np.zeros(shape, dtype=np.int64) for shape in shapes]
-    try:
-        data = "\n".join(rows).encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    heights, widths = zip(*shapes)
-    # a call of its own, so its per-byte temporaries are gone before values exists
-    if not _in_array_grammar(np.frombuffer(data, dtype=np.uint8), np.repeat(widths, heights)):
-        return None
-    values = np.fromstring(data, dtype=np.int64, sep=" ")
-    if values.min() < 0 or values.max() >= p:
-        return None
-    blocks, at = [], 0
-    for height, width in shapes:
-        blocks.append(values[at:at + height * width].reshape(height, width))
-        at += height * width
-    return blocks
-
-
 def _entries_by_row(rows: list[tuple[int, str]], cols: int, p: int) -> np.ndarray:
     """One block's entries read row by row; the first bad row raises its PmodError."""
     body = []
@@ -178,17 +112,18 @@ def _entries_by_row(rows: list[tuple[int, str]], cols: int, p: int) -> np.ndarra
     return np.array(body, dtype=np.int64).reshape(len(rows), cols)
 
 
-def _read_entries(lines: list[tuple[int, str]], blocks, p: int) -> list[np.ndarray]:
-    """The entries of the blocks, each given as (first row's index in
-    lines, row count, column count): the array pass, or the per-row loop
-    over every block if the pass refuses a row."""
-    rows = [body for start, height, _ in blocks for _, body in lines[start:start + height]]
-    shapes = [(height, width) for _, height, width in blocks]
-    entries = _entries_by_array(rows, shapes, p)
-    if entries is None:
-        entries = [_entries_by_row(lines[start:start + height], width, p)
-                   for start, height, width in blocks]
-    return entries
+def _block_entries(rows: list[tuple[int, str]], cols: int, p: int) -> np.ndarray:
+    """One block's entries: numpy's reading of its rows if print_pmod
+    would write those values as the same text, else the per-row loop's."""
+    text = "\n".join(body for _, body in rows) + "\n"
+    try:
+        values = np.fromstring(text, dtype=np.int64, sep=" ").reshape(len(rows), cols)
+    except ValueError:  # unmatched text, or not rows x cols values
+        return _entries_by_row(rows, cols, p)
+    # _block_text assumes residues: for p = 3 it would write 5 as '5'
+    if 0 <= values.min(initial=0) and values.max(initial=0) < p and _block_text(values, p) == text:
+        return values
+    return _entries_by_row(rows, cols, p)
 
 
 def parse_pmod(text: str, *, max_height: int | None = None) -> PersistenceModule:
@@ -236,58 +171,49 @@ def parse_pmod(text: str, *, max_height: int | None = None) -> PersistenceModule
         raise PmodError(f"{_amount('grid height', m)} exceeds the bound {max_height}", lineno)
 
     dims: dict[tuple[int, int], int] = {}
-    # (kind, i, j) -> (first row's index in lines, rows collected, columns), in document order
-    blocks: dict[tuple[str, int, int], tuple[int, int, int]] = {}
+    maps: dict[tuple[str, int, int], FFMatrix] = {}
 
     def in_grid(i: int, j: int) -> bool:
         # arithmetic, so a huge grid header allocates nothing per vertex
         return 1 <= i <= grid.m and 1 <= j <= grid.n
 
-    walk_error = None
-    try:
-        while True:
-            lineno, words = take("'dim', 'map' or 'END'")
-            if words == ["END"]:
-                break
-            if words[0] == "dim":
-                if len(words) != 4 or not all(map(_is_natural, words[1:])):
-                    raise PmodError("expected 'dim <i> <j> <k>'", lineno)
-                i, j, k = _ints(words[1:], lineno)
-                if not in_grid(i, j):
-                    raise PmodError(f"vertex {_vertex(i, j)} outside the grid", lineno)
-                if (i, j) in dims:
-                    raise PmodError(f"duplicate dimension for vertex {_vertex(i, j)}", lineno)
-                if k > MAX_DIM:
-                    raise PmodError(f"{_amount('dimension', k)} exceeds the bound {MAX_DIM}", lineno)
-                dims[(i, j)] = k
-            elif words[0] == "map":
-                if len(words) != 4 or words[1] not in ("h", "v") or not all(map(_is_natural, words[2:])):
-                    raise PmodError("expected 'map h|v <i> <j>'", lineno)
-                kind, (i, j) = words[1], _ints(words[2:], lineno)
-                src = (i, j)
-                dst = (i, j + 1) if kind == "h" else (i + 1, j)
-                if not (in_grid(*src) and in_grid(*dst)):
-                    raise PmodError(f"arrow {_vertex(i, j)} has no {kind} successor in the grid", lineno)
-                if src not in dims or dst not in dims:
-                    raise PmodError("map block before the dimensions of both endpoints", lineno)
-                if (kind, i, j) in blocks:
-                    raise PmodError(f"duplicate map block for {kind} {_vertex(i, j)}", lineno)
-                rows, cols = dims[dst], dims[src]
-                if rows == 0 or cols == 0:
-                    raise PmodError("zero-dimensional arrows must be omitted", lineno)
-                got = min(rows, len(lines) - pos)
-                blocks[(kind, i, j)] = (pos, got, cols)
-                pos += got
-                if got < rows:
-                    take(f"a row of {cols} entries")  # raises: the document ends in the block
-            else:
-                raise PmodError(_word("unexpected directive", words[0]), lineno)
-    except PmodError as exc:
-        walk_error = exc
-    # read before raising walk_error, so a bad row above it is reported first
-    entries = _read_entries(lines, blocks.values(), field.p)
-    if walk_error is not None:
-        raise walk_error
+    while True:
+        lineno, words = take("'dim', 'map' or 'END'")
+        if words == ["END"]:
+            break
+        if words[0] == "dim":
+            if len(words) != 4 or not all(map(_is_natural, words[1:])):
+                raise PmodError("expected 'dim <i> <j> <k>'", lineno)
+            i, j, k = _ints(words[1:], lineno)
+            if not in_grid(i, j):
+                raise PmodError(f"vertex {_vertex(i, j)} outside the grid", lineno)
+            if (i, j) in dims:
+                raise PmodError(f"duplicate dimension for vertex {_vertex(i, j)}", lineno)
+            if k > MAX_DIM:
+                raise PmodError(f"{_amount('dimension', k)} exceeds the bound {MAX_DIM}", lineno)
+            dims[(i, j)] = k
+        elif words[0] == "map":
+            if len(words) != 4 or words[1] not in ("h", "v") or not all(map(_is_natural, words[2:])):
+                raise PmodError("expected 'map h|v <i> <j>'", lineno)
+            kind, (i, j) = words[1], _ints(words[2:], lineno)
+            src = (i, j)
+            dst = (i, j + 1) if kind == "h" else (i + 1, j)
+            if not (in_grid(*src) and in_grid(*dst)):
+                raise PmodError(f"arrow {_vertex(i, j)} has no {kind} successor in the grid", lineno)
+            if src not in dims or dst not in dims:
+                raise PmodError("map block before the dimensions of both endpoints", lineno)
+            if (kind, i, j) in maps:
+                raise PmodError(f"duplicate map block for {kind} {_vertex(i, j)}", lineno)
+            rows, cols = dims[dst], dims[src]
+            if rows == 0 or cols == 0:
+                raise PmodError("zero-dimensional arrows must be omitted", lineno)
+            block = lines[pos:pos + rows]
+            pos += len(block)
+            maps[(kind, i, j)] = FFMatrix._wrap(_block_entries(block, cols, field.p), field.p)
+            if len(block) < rows:
+                take(f"a row of {cols} entries")  # raises: the document ends in the block
+        else:
+            raise PmodError(_word("unexpected directive", words[0]), lineno)
 
     if pos < len(lines):
         raise PmodError("content after END", lines[pos][0])
@@ -296,7 +222,6 @@ def parse_pmod(text: str, *, max_height: int | None = None) -> PersistenceModule
     if missing is not None:
         raise PmodError(f"missing dimension for vertex {missing}")
 
-    maps = {key: FFMatrix._wrap(arr, field.p) for key, arr in zip(blocks, entries)}
     # every block has endpoints of positive dimension, checked at its line
     for kind, feet, (di, dj) in (("h", grid.harrows(), (0, 1)), ("v", grid.varrows(), (1, 0))):
         for i, j in feet:
@@ -319,11 +244,15 @@ def _block_text(data: np.ndarray, p: int) -> str:
     width = len(str(p - 1))
     cells = np.empty(data.shape + (width + 1,), dtype=np.uint8)
     keep = np.ones(cells.shape, dtype=bool)
+    values = data.astype(np.uint32)  # divides faster than int64
+    high = 0
     for k in range(width):
-        scale = 10 ** (width - 1 - k)
-        cells[:, :, k] = data // scale % 10 + 48
+        lead = values // 10 ** (width - 1 - k)  # the entry's first k + 1 of width digits
+        cells[:, :, k] = lead - high
+        high = 10 * lead
         if k < width - 1:
-            keep[:, :, k] = data >= scale
+            keep[:, :, k] = lead != 0
+    cells += 48
     cells[:, :, width] = 32
     cells[:, -1, width] = 10
     return cells[keep].tobytes().decode("ascii")

@@ -89,6 +89,12 @@ class TestGen:
         code, _, _ = run_cli(capsys, "gen", "bogus")
         assert code == 1
 
+    def test_output_into_a_missing_directory(self, tmp_path, capsys):
+        dest = tmp_path / "missing" / "out.pmod"
+        code, out, err = run_cli(capsys, "gen", "example", "-o", str(dest))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {dest}: ") and "Traceback" not in err
+
 
 class TestCompress:
     def test_known_output(self, example_file, capsys):
@@ -148,6 +154,12 @@ class TestApprox:
             "1 1..2:[2,3];[2,2]\n"
             "1 2..2:[1,2]\n"
         )
+
+    def test_output_into_a_missing_directory(self, example_file, tmp_path, capsys):
+        dest = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(capsys, "approx", example_file, "-o", str(dest))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {dest}: ") and not dest.parent.exists()
 
     def test_single_thread_without_options(self, example_file, capsys):
         # perfbench/run.py records this value as the CLI's thread count

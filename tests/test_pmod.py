@@ -233,9 +233,56 @@ DOCS = pytest.mark.parametrize("blocks", [1, 3], ids=["one block", "three blocks
 FIELDS = pytest.mark.parametrize("p", [2, 65521])
 
 
+def _entry_rows(text: str) -> tuple[list[str], list[int]]:
+    """The lines of a printed document, and the indices of its entry rows."""
+    lines = text.split("\n")
+    return lines, [k for k, line in enumerate(lines) if line[:1].isdigit()]
+
+
+def _outcome(text: str):
+    """The parts of the module parse_pmod reads from text, or its PmodError's text."""
+    try:
+        m = parse_pmod(text)
+    except PmodError as exc:
+        return str(exc)
+    return m.field, m.dims, m.hmaps, m.vmaps
+
+
+def _row_loop_outcome(text: str):
+    """_outcome with every block read by the per-row loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pmod, "_block_entries", pmod._entries_by_row)
+        return _outcome(text)
+
+
+# what a printed row's gap k becomes, and the format its word k is put in
+_GAP_EDITS = {"tab": "\t", "double space": "  "}
+_WORD_EDITS = {"leading zeros": "00{}", "sign +": "+{}", "sign -": "-{}", "-": "-", "x": "x",
+               "dash after": "{} -"}
+
+
+def _edit_row(row: str, op: str, k: int) -> str:
+    """A printed row with one edit at its gap, word or character k."""
+    words = row.split(" ")
+    if op == "truncation":
+        return row[:k % (len(row) + 1)]
+    if op in _GAP_EDITS:
+        k %= len(words) + 1
+        return " ".join(words[:k]) + _GAP_EDITS[op] + " ".join(words[k:])
+    k %= len(words)
+    words[k] = _WORD_EDITS[op].format(words[k])
+    return " ".join(words)
+
+
+# edits as (row, edit, position), each number taken modulo what it indexes
+_EDITS = st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(["truncation", *_GAP_EDITS, *_WORD_EDITS]),
+                            st.integers(0, 10**6)), min_size=1, max_size=3)
+
+
 class TestEntryRows:
-    """The array pass refuses every bad row, and the per-row loop then names
-    the first one with its exact message and line."""
+    """Every bad row reaches the per-row loop, which names the first one
+    with its exact message and line; numpy's reading of a block stands only
+    where the loop would read the same."""
 
     @FIELDS
     @DOCS
@@ -297,23 +344,55 @@ class TestEntryRows:
             parse_pmod(_text(lines))
         assert str(err.value) == f"line {at + 1}: expected {width} entries, got {width - 1}"
 
-    @pytest.mark.parametrize("rows,widths,fits", [
-        ("1 2\n3 45 6", [2, 3], True),
-        ("-1 0\n-0", [2, 1], True),
-        ("1" * 18 + "\n-" + "0" * 18, [1, 1], True),
-        ("1" * 19, [1], False),
-        ("0" * 19, [1], False),
-        ("1  2", [3], False),
-        ("1 \n2", [2, 1], False),
-        ("1 2\n3", [1, 2], False),
-        ("1\t2", [2], False),
-        ("1 -", [2], False),
-        ("1-2", [1], False),
-        ("-", [1], False),
+    # rows that are close to the printed format, one or two to a string
+    @pytest.mark.parametrize("p", [2, 65521])
+    @pytest.mark.parametrize("rows", [
+        "1 2\n3 45 6", "-1 0\n-0", "1" * 18 + "\n-" + "0" * 18, "1" * 19, "0" * 19, "1  2",
+        "1 \n2", "1 2\n3", "1\t2", "1 -", "1-2", "-",
     ])
-    def test_array_grammar(self, rows, widths, fits):
-        a = np.frombuffer(rows.encode("ascii"), dtype=np.uint8)
-        assert pmod._in_array_grammar(a, np.array(widths)) is fits
+    def test_rows_read_as_by_the_row_loop(self, p, rows):
+        # a 1 x 2 grid, so a changed entry leaves no square to commute
+        doc = f"PMOD 1\nfield {p}\ngrid 1 2\ndim 1 1 2\ndim 1 2 2\nmap h 1 1\n0 1\n1 0\nEND\n"
+        lines, at = _entry_rows(print_pmod(parse_pmod(doc)))
+        # the block's last rows, as numpy reads a '-' before a row break as -(next number)
+        lines[at[-1] - rows.count("\n"):at[-1] + 1] = rows.split("\n")
+        text = "\n".join(lines)
+        assert _outcome(text) == _row_loop_outcome(text)
+
+    @given(st.sampled_from([2, 3, 65521]), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**16),
+           _EDITS)
+    @settings(max_examples=300, deadline=None)
+    def test_edited_printed_modules_read_as_by_the_row_loop(self, p, n, d, seed, edits):
+        lines, rows = _entry_rows(print_pmod(random_module(n, d, FieldSpec(p), make_rng(seed))))
+        for row, op, k in edits:
+            at = rows[row % len(rows)]
+            lines[at] = _edit_row(lines[at], op, k)
+        text = "\n".join(lines)
+        assert _outcome(text) == _row_loop_outcome(text)
+
+    @pytest.mark.parametrize("spell", [
+        lambda row: row.replace(" ", "\t", 1),
+        lambda row: row.replace(" 1 ", " 001 ", 1),
+        lambda row: row.replace(" 0 ", " -0 ", 1),
+        lambda row: row.replace(" 1 ", " " + "0" * 24 + "1 ", 1),
+    ], ids=["tab", "zero-padded", "-0", "25 digits"])
+    def test_one_odd_row_sends_only_its_block_to_the_row_loop(self, spell, monkeypatch):
+        text = print_pmod(random_module(12, 100, FieldSpec(2), make_rng(0)))
+        lines, rows = _entry_rows(text)
+        at = rows[len(rows) // 2]
+        row, lines[at] = lines[at], spell(lines[at])
+        assert lines[at] != row
+        calls = []
+        by_row = pmod._entries_by_row
+
+        def counted(block, cols, p):
+            calls.append([rowline for rowline, _ in block])
+            return by_row(block, cols, p)
+
+        monkeypatch.setattr(pmod, "_entries_by_row", counted)
+        back, clean = parse_pmod("\n".join(lines)), parse_pmod(text)
+        assert back.hmaps == clean.hmaps and back.vmaps == clean.vmaps
+        assert len(calls) == 1 and at + 1 in calls[0] and len(calls[0]) == 100
 
     @pytest.mark.parametrize("fault", ["duplicate map block", "unknown directive", "ends in a block",
                                        "content after END", "missing map block"])
