@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 import time
 
@@ -53,6 +54,26 @@ def _int_list(least: int):
     return convert
 
 
+def _cannot_write(path: str, exc: OSError):
+    print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+    raise SystemExit(PARSE_ERROR)
+
+
+def _check_writable(path: str | None) -> None:
+    """Fail before any work, as _write_output would after it, if path
+    cannot be opened for writing.  An existing file is not truncated; a
+    file made by the check is removed again."""
+    if path is None or path == "-":
+        return
+    made = not os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        _cannot_write(path, exc)
+    if made:
+        os.remove(path)
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -61,8 +82,7 @@ def _write_output(text: str, path: str | None) -> None:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        raise SystemExit(PARSE_ERROR)
+        _cannot_write(path, exc)
 
 
 def parse_pmod(text: str):
@@ -97,6 +117,7 @@ def cmd_intervals(args) -> int:
 
 
 def cmd_compress(args) -> int:
+    _check_writable(args.output)
     module = _read_module(args.input)
     f = compressed_multiplicity_function(module)
     _write_output(format_interval_function(f), args.output)
@@ -104,6 +125,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_approx(args) -> int:
+    _check_writable(args.output)
     module = _read_module(args.input)
     approx = interval_approximation(module)
     _write_output(format_signed_sum(approx.coeffs), args.output)
@@ -126,6 +148,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    _check_writable(args.output)
     field = FieldSpec(args.field)
     rng = make_rng(args.seed)
     if args.kind == "random":
@@ -164,6 +187,7 @@ def _bench_cell(n: int, d: int, reps: int, seed: int):
 
 
 def cmd_bench(args) -> int:
+    _check_writable(args.output)
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=["n", "d", "reps", "mean_ms", "intervals", "path_pairs"])
     writer.writeheader()

@@ -66,8 +66,12 @@ and one per sink of row 2, by three exact identities:
 With rev(U) the rows of U reversed, the rank profiles of rev(U) and of
 [H ; rev(U)] for each t1 = (1, d1), d1 > j, give every pair and triple
 value of the sink t.  So a 2 x n module takes n image eliminations, each
-a stack of the X of both rows, and the profile members of n sinks, which
-ffmat.stack_pivots stacks and splits like every other batch.
+a stack of the X of both rows.  The profile members of all n sinks of
+row 2 then go to one ffmat.stack_pivots call: the members of the sink
+(2, j) have the dim M_(1, j) columns of V1, so on a module with equal
+dimensions all sinks share stacks: n (n + 1) / 2 members in
+ceil(n (n + 1) / (2 _BATCH)) eliminations, not n.  The members are held
+as uint16, which holds every residue since p < 2^16.
 
 Every matrix multiplied takes one arrow at a time: f is the horizontal
 arrow into t, M(s -> t) is the vertical arrow at s, and H is chained
@@ -77,7 +81,7 @@ arrow (1, d1 - 1) -> (1, d1), starting from V1.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -142,6 +146,21 @@ def _profile(piv: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _sink_members(module: PersistenceModule, j: int, lmat: FFMatrix, v1: FFMatrix) -> list[np.ndarray]:
+    """The profile members of the sink t = (2, j), as uint16.
+
+    lmat is the L of t and v1 the basis V of s = (1, j).  With
+    U = L M(s -> t) V1 and H = M(s -> (1, d1)) V1, the members are
+    rev(U) and [H ; rev(U)] for each d1 > j.
+    """
+    rev = mat_mul(lmat, mat_mul(module.vmaps[(1, j)], v1)).data[::-1]
+    members, h = [rev.astype(np.uint16)], v1
+    for d1 in range(j + 1, module.grid.n + 1):
+        h = mat_mul(module.hmaps[(1, d1 - 1)], h)
+        members.append(np.vstack([h.data, rev]).astype(np.uint16))
+    return members
+
+
 class _GroupedRanks:
     """Every rank the multiplicity formulas need, grouped by role vertices.
 
@@ -157,6 +176,8 @@ class _GroupedRanks:
         self.rect: dict[Vertex, list[int]] = {}
         self.pair: dict[tuple[Vertex, Vertex], list[int]] = {}
         self.triple: dict[tuple[Vertex, Vertex, Vertex], list[int]] = {}
+        # the profile members of every row-2 sink, in column order
+        members: list[np.ndarray] = []
         # per row, the basis V of the previous sink
         bases = {i: FFMatrix.zeros(0, 0, p) for i in range(1, g.m + 1)}
         for j in range(1, g.n + 1):
@@ -182,28 +203,22 @@ class _GroupedRanks:
                 # the reduced I block of the row-2 member, pivot rows first,
                 # is the L with L V = [I ; 0]
                 lmat = stack.reduced(images[1].shape[1])[1][piv[1][piv[1] >= 0], :dims[(2, j)]]
-                self._sink_ranks(module, j, FFMatrix._wrap(lmat, p), bases[1])
+                members += _sink_members(module, j, FFMatrix._wrap(lmat, p), bases[1])
+        if g.m == 2:
+            pivots = iter(stack_pivots(members, p))
+            for j in range(1, g.n + 1):
+                self._sink_ranks(module, j, pivots)
 
-    def _sink_ranks(self, module: PersistenceModule, j: int, lmat: FFMatrix, v1: FFMatrix):
-        """pair and triple of the sink t = (2, j), from the rank profiles of its members.
-
-        lmat is the L of t and v1 the basis V of s = (1, j).  With
-        U = L M(s -> t) V1 and H = M(s -> (1, d1)) V1, the members are
-        rev(U) and [H ; rev(U)] for each d1 > j.
-        """
-        g, p, dims = module.grid, module.field.p, module.dims
+    def _sink_ranks(self, module: PersistenceModule, j: int, pivots: Iterator[np.ndarray]):
+        """pair and triple of the sink t = (2, j), from the rank profiles of
+        its members, whose pivot rows are the next ones pivots yields."""
+        g, dims = module.grid, module.dims
         s, t = (1, j), (2, j)
-        rev = mat_mul(lmat, mat_mul(module.vmaps[s], v1)).data[::-1]
-        ends = range(j + 1, g.n + 1)
-        members, h = [rev], v1
-        for d1 in ends:
-            h = mat_mul(module.hmaps[(1, d1 - 1)], h)
-            members.append(np.vstack([h.data, rev]))
-        heights = [0] + [dims[(1, d1)] for d1 in ends]
+        heights = [0] + [dims[(1, d1)] for d1 in range(j + 1, g.n + 1)]
         c = np.array(self.rect[t][:j])
         c1 = self.rect[s][1:]
-        for k, piv in enumerate(stack_pivots(members, p)):
-            h = heights[k]
+        # zip draws from heights first, so it takes only this sink's pivots
+        for k, (h, piv) in enumerate(zip(heights, pivots)):
             counts = _profile(piv, np.concatenate(([h], h + dims[t] - c)))
             # c + rank [H ; U[c:]][:, :c1] - rank H[:, :c1], H empty for B;
             # row b1 - 1 holds the values of s1 = (1, b1)

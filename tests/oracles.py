@@ -37,9 +37,15 @@ from gridpersist.intervals import Interval, Vertex, enumerate_intervals
 
 def naive_rank(rows: list[list[int]], p: int) -> int:
     """Textbook Gaussian elimination rank over GF(p), no numpy."""
+    return len(naive_rref(rows, p))
+
+
+def naive_rref(rows: list[list[int]], p: int) -> list[list[int]]:
+    """The nonzero rows of the reduced row echelon form over GF(p), top
+    to bottom, by textbook Gaussian elimination on Python ints."""
     a = [[x % p for x in row] for row in rows]
     if not a or not a[0]:
-        return 0
+        return []
     nrows, ncols = len(a), len(a[0])
     rank = 0
     for col in range(ncols):
@@ -56,7 +62,7 @@ def naive_rank(rows: list[list[int]], p: int) -> int:
         rank += 1
         if rank == nrows:
             break
-    return rank
+    return a[:rank]
 
 
 def naive_mul(a: list[list[int]], b: list[list[int]], p: int, bcols: int = 0) -> list[list[int]]:

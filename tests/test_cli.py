@@ -261,6 +261,57 @@ class TestBench:
         assert rows[0]["intervals"] == "55"
 
 
+class TestOutputCheckedFirst:
+    """An output that cannot be written fails before any work, with the
+    message a write would give; a command that fails leaves the output
+    as it was."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran before the output was checked")
+
+    @pytest.mark.parametrize("argv, worker", [
+        (["bench", "--n", "2", "--d", "1", "--reps", "1"], "_bench_cell"),
+        (["gen", "random"], "random_module"),
+    ])
+    def test_no_work_without_a_writable_output(self, argv, worker, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, worker, self.refuse)
+        for dest in (tmp_path / "missing" / "x", tmp_path):
+            code, out, err = run_cli(capsys, *argv, "-o", str(dest))
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: cannot write {dest}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, worker", [
+        ("approx", "interval_approximation"),
+        ("compress", "compressed_multiplicity_function"),
+    ])
+    def test_module_commands_read_nothing_first(self, command, worker, example_file, tmp_path,
+                                                capsys, monkeypatch):
+        monkeypatch.setattr(cli, worker, self.refuse)
+        monkeypatch.setattr(cli, "_read_module", self.refuse)
+        dest = tmp_path / "missing" / "x"
+        code, out, err = run_cli(capsys, command, example_file, "-o", str(dest))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {dest}: ") and not dest.parent.exists()
+
+    def test_failed_command_keeps_the_old_output(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pmod"
+        bad.write_text("grid 2 2\nbogus\n")
+        kept, fresh = tmp_path / "kept.txt", tmp_path / "fresh.txt"
+        kept.write_text("old\n")
+        for dest in (kept, fresh):
+            code, _, err = run_cli(capsys, "approx", str(bad), "-o", str(dest))
+            assert code == 2 and err.startswith(f"error: {bad}: ")
+        assert kept.read_text() == "old\n" and not fresh.exists()
+
+    def test_existing_output_is_replaced_on_success(self, example_file, tmp_path, capsys):
+        dest = tmp_path / "out.txt"
+        dest.write_text("old and much longer than the result\n" * 20)
+        code, want, _ = run_cli(capsys, "approx", example_file)
+        assert run_cli(capsys, "approx", example_file, "-o", str(dest))[0] == 0
+        assert dest.read_text() == want
+
+
 class TestEntryPoint:
     def test_installed_script(self):
         # the package this suite imports, also when pytest found it through its pythonpath

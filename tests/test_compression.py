@@ -272,6 +272,21 @@ class TestArrowsOnly:
         assert [compressed_multiplicity_function(m) for m in modules] == want
 
 
+class TestEliminationCount:
+    """One image elimination per grid column, then the profile members of
+    every row-2 sink in shared stacks: the n - j + 1 members of the sink
+    (2, j) have dim M_(1, j) columns, so equal dimensions share them all."""
+
+    @pytest.mark.parametrize("n, d, want", [(12, 100, 12 + 2), (18, 10, 18 + 3)])
+    def test_stacks_per_module(self, n, d, want, monkeypatch):
+        module = random_module(n, d, GF2, make_rng(n))
+        calls = []
+        eliminate = Stack.eliminate
+        monkeypatch.setattr(Stack, "eliminate", lambda stack: calls.append(stack) or eliminate(stack))
+        compressed_multiplicity_function(module)
+        assert len(calls) == want
+
+
 class TestStructuralProperties:
     def test_indicator_on_interval_modules(self):
         # multiplicity of I in the module of J is 1 exactly when I <= J

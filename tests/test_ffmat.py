@@ -33,9 +33,10 @@ from gridpersist.ffmat import (
     pullback_basis,
     random_invertible,
     random_matrix,
+    stack_pivots,
     vstack,
 )
-from oracles import naive_mul, naive_rank
+from oracles import naive_mul, naive_rank, naive_rref
 
 PRIMES = [2, 3, 5, 251]
 
@@ -346,6 +347,91 @@ class TestStack:
         assert whole == [naive_rank(a.tolist(), p) for a in mats]
 
 
+def count_eliminations(monkeypatch):
+    """A list that gains one entry, the member count, per Stack.eliminate call."""
+    calls = []
+    eliminate = Stack.eliminate
+
+    def counted(stack):
+        piv = eliminate(stack)
+        calls.append(len(piv))
+        return piv
+    monkeypatch.setattr(Stack, "eliminate", counted)
+    return calls
+
+
+class TestStackPivots:
+    """stack_pivots shares a stack only among matrices with one column
+    count, _BATCH at a time, and returns the pivots in input order."""
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    @pytest.mark.parametrize("batch", [1, 3, 64])
+    def test_mixed_shapes_match_lone(self, p, batch, monkeypatch):
+        rng = np.random.default_rng([p, batch])
+        mats = [rng.integers(0, p, size=(int(rng.integers(0, 7)), int(rng.integers(0, 10))))
+                for _ in range(60)]
+        mats += [np.full((6, 9), p - 1), np.zeros((0, 0), dtype=np.int64)]
+        mats = [mats[k] for k in rng.permutation(len(mats))]
+        lone = [packed_pivots(a) if p == 2 else generic_reduced(a, p)[0].tolist() for a in mats]
+        monkeypatch.setattr(ffmat, "_BATCH", batch)
+        calls = count_eliminations(monkeypatch)
+        pivots = stack_pivots(mats, p)
+        assert [piv.tolist() for piv in pivots] == lone
+        groups = {}
+        for a in mats:
+            groups[a.shape[1]] = groups.get(a.shape[1], 0) + 1
+        assert len(calls) == sum(-(-size // batch) for size in groups.values())
+        assert max(calls) <= batch
+
+    def test_no_members(self, monkeypatch):
+        calls = count_eliminations(monkeypatch)
+        assert stack_pivots([], 3) == [] and calls == []
+
+
+class TestModulus65521:
+    """The GF(65521) core at the largest residues: its row update reaches
+    p (p - 1) + p - 1 = p**2 - 1 < 2**32 before reduction."""
+
+    P = 65521
+
+    def edge_matrices(self, rng):
+        p = self.P
+        ones_first = np.full((7, 12), p - 1)
+        ones_first[:, 0] = 1
+        mats = [np.full((r, c), p - 1) for r, c in ((1, 1), (5, 5), (9, 4), (3, 11))]
+        mats += [ones_first, np.where(rng.random((10, 10)) < 0.5, 1, p - 1)]
+        mats += [rng.integers(0, p, size=(int(rng.integers(1, 12)), int(rng.integers(1, 12))))
+                 for _ in range(20)]
+        mats += [rng.integers(p - 3, p, size=(8, 8)) for _ in range(5)]
+        return mats
+
+    def test_reduced_forms_match_naive(self):
+        p = self.P
+        mats = self.edge_matrices(np.random.default_rng(65521))
+        stack = Stack(len(mats), 12, 12, p)
+        for k, a in enumerate(mats):
+            stack[k] = a
+        for a, piv, form in zip(mats, stack.eliminate(), stack.reduced()):
+            rows, cols = a.shape
+            want = naive_rref(a.tolist(), p)
+            held = np.flatnonzero(piv[:cols] >= 0)
+            assert len(held) == len(want) == naive_rank(a.tolist(), p)
+            # the pivot rows in column order are the reduced echelon form; the rest are zero
+            assert form[piv[held], :cols].tolist() == want
+            assert not np.delete(form[:rows, :cols], piv[held], axis=0).any()
+            lone_piv, lone_form = generic_reduced(a, p)
+            assert lone_piv.tolist() == piv[:cols].tolist()
+            assert np.array_equal(lone_form, form[:rows, :cols])
+
+    def test_ranks_and_kernels(self):
+        p = self.P
+        for a in self.edge_matrices(np.random.default_rng(1)):
+            m = FFMatrix(a, p)
+            assert mat_rank(m) == naive_rank(a.tolist(), p)
+            k = kernel_basis(m)
+            assert k.cols == m.cols - mat_rank(m) and not mat_mul(m, k).data.any()
+
+
 class TestMul:
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 5]))
     @settings(max_examples=60, deadline=None)
@@ -391,6 +477,18 @@ class TestMul:
         assert (want > 2**53) == bool(side)
         got = mat_mul(FFMatrix._wrap(a[None, :], p), FFMatrix._wrap(a[:, None], p))
         assert got.tolist() == [[want % p]]
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_all_largest_entries_at_the_float_bound(self, side):
+        # inner = k is the last size on the float path and k + 1 the first
+        # on the int64 one; every partial sum there is a multiple of (p - 1)**2
+        p = 65521
+        inner = (2**53 - 1) // (p - 1) ** 2 + side
+        assert ((p - 1) ** 2 * inner < 2**53) != bool(side)
+        a = np.full(inner, p - 1, dtype=np.int64)
+        got = mat_mul(FFMatrix._wrap(a[None, :], p), FFMatrix._wrap(a[:, None], p))
+        row = a.tolist()
+        assert got.tolist() == [[sum(x * y for x, y in zip(row, row)) % p]]
 
     @pytest.mark.parametrize("preset", [None, "2"])
     def test_products_run_on_one_blas_thread(self, preset):
