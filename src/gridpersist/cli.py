@@ -15,7 +15,7 @@ import time
 
 from .approximation import interval_approximation, rank_of_sum
 from .compression import compressed_multiplicity_function
-from .ffmat import FieldSpec
+from .ffmat import GF2, FieldSpec
 from .generators import (
     example_module,
     make_rng,
@@ -133,17 +133,18 @@ def cmd_approx(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_writable(args.output)
     module = _read_module(args.input)
     approx = interval_approximation(module)
     ranks = rank_invariant(module)
     for (src, dst), r in ranks.items():
         got = rank_of_sum(approx, src, dst)
         if got != r:
-            print(f"MISMATCH rank at {src} -> {dst}: module {r}, approximation {got}")
+            _write_output(f"MISMATCH rank at {src} -> {dst}: module {r}, approximation {got}\n", args.output)
             return VERIFY_MISMATCH
     # the pairs (v, v) include the dimension vector: rank M(v -> v) = dim M_v
-    print(f"PASS rank invariant preserved on {len(ranks)} pairs, "
-          f"dimension vector {format_dimvec(dimension_vector(module), module.grid.m, module.grid.n)}")
+    _write_output(f"PASS rank invariant preserved on {len(ranks)} pairs, dimension vector "
+                  f"{format_dimvec(dimension_vector(module), module.grid.m, module.grid.n)}\n", args.output)
     return 0
 
 
@@ -165,9 +166,9 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _bench_cell(n: int, d: int, reps: int, seed: int):
+def _bench_cell(n: int, d: int, reps: int, seed: int, field: FieldSpec = GF2):
     rng = make_rng(seed)
-    module = random_module(n, d, FieldSpec(2), rng)
+    module = random_module(n, d, field, rng)
     enumerate_intervals(2, n)  # interval enumeration is excluded from timing
     times = []
     while len(times) < reps or sum(times) < 0.1:
@@ -188,12 +189,13 @@ def _bench_cell(n: int, d: int, reps: int, seed: int):
 
 def cmd_bench(args) -> int:
     _check_writable(args.output)
+    field = FieldSpec(args.field)
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=["n", "d", "reps", "mean_ms", "intervals", "path_pairs"])
     writer.writeheader()
     for d in args.d:
         for n in args.n:
-            writer.writerow(_bench_cell(n, d, args.reps, args.seed))
+            writer.writerow(_bench_cell(n, d, args.reps, args.seed, field))
     _write_output(out.getvalue(), args.output)
     return 0
 
@@ -238,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_int_list(0), default="10", help="comma-separated space dimensions")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--field", type=int, default=2, help="prime modulus of the random modules")
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_bench)
 

@@ -39,16 +39,24 @@ and one per sink of row 2, by three exact identities:
   of a basis V of the previous sink span im M((i, b) -> (i, j - 1)), then
   f V[:, :r_b] spans im M((i, b) -> t).  A column of an echelon form
   holds a pivot exactly when it is outside the span of the columns before
-  it, so X = [f V | I] has rank M((i, b) -> t) pivots among its first
-  r_b columns, and its pivot columns, in order, are a basis V_t of the
-  same kind for t: the images are nested, and I completes them.  On
-  row 2 the reduced form of X makes each pivot column a unit vector with
-  its one in the pivot row, so the reduced I block, pivot rows first in
-  pivot-column order, is an invertible L with L V_t = I.  With V_c the
-  first c columns of V_t, for every x
+  it, so f V has rank M((i, b) -> t) pivots among its first r_b columns.
+  Let Q be its pivot columns, P their pivot rows and F the other rows.
+  A forward elimination leaves f V[P, Q] invertible, so
+  V_t = [f V[:, Q] | E_F], E_F the unit columns of the rows F, is a
+  basis of the same kind for t: the images are nested, and E_F
+  completes them.  On row 2 the walk carries an I block after f V and
+  stops before it.  That block T holds the row operations; with its
+  rows P first, in pivot-column order, then F,
+  T V_t = [[R, 0], [0, I]] with R upper triangular and invertible: a
+  pivot row is zero in the pivot columns before its own, a free row in
+  all of them, and only pivot rows are added to rows.  With V_c the
+  first c columns of V_t, T V_c is zero below row c and invertible above
+  it, so for every x
 
-      rank [V_c | x] = rank [L V_c | L x] = c + rank((L x)[c:]).
+      rank [V_c | x] = rank [T V_c | T x] = c + rank((T x)[c:]).
 
+  Any invertible upper triangular D in place of T V_t would do the same,
+  as (D y)[c:] = D[c:, c:] y[c:]; on GF(2), whose core reduces, R = I.
 * Rank profile.  Both echelon cores pivot on the topmost free row with a
   nonzero and change a row only by multiples of pivot rows.  A free row
   above the pivot row is zero in its column and takes nothing from it,
@@ -56,7 +64,7 @@ and one per sink of row 2, by three exact identities:
   rank Y[:r, :m] is the number of columns c < m whose pivot row is
   above r.
 * No kernels.  Take s = (1, j), t = (2, j), V1 the basis of s,
-  U = L M(s -> t) V1, H = M(s -> t1) V1, c = rank A and
+  U = T M(s -> t) V1, H = M(s -> t1) V1, c = rank A and
   c1 = rank M(s1 -> s), so V1[:, :c1] spans im M(s1 -> s).  B has the
   image of M(s -> t) V1[:, :c1], so rank [A | B] = c + rank U[c:, :c1].
   W = B ker C has the image of M(s -> t) V1[:, :c1] ker H[:, :c1], and
@@ -66,7 +74,7 @@ and one per sink of row 2, by three exact identities:
 With rev(U) the rows of U reversed, the rank profiles of rev(U) and of
 [H ; rev(U)] for each t1 = (1, d1), d1 > j, give every pair and triple
 value of the sink t.  So a 2 x n module takes n image eliminations, each
-a stack of the X of both rows.  The profile members of all n sinks of
+a stack of the f V of both rows.  The profile members of all n sinks of
 row 2 then go to one ffmat.stack_pivots call: the members of the sink
 (2, j) have the dim M_(1, j) columns of V1, so on a module with equal
 dimensions all sinks share stacks: n (n + 1) / 2 members in
@@ -146,14 +154,48 @@ def _profile(piv: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _sink_members(module: PersistenceModule, j: int, lmat: FFMatrix, v1: FFMatrix) -> list[np.ndarray]:
+def _image_step(images: list[np.ndarray], p: int) -> tuple[list, list, np.ndarray | None]:
+    """One column of the image chain, from the images f V of its sinks,
+    bottom row first, in one forward elimination.
+
+    Returns per sink the pivot flags of the columns of f V and the basis
+    V_t = [f V[:, held] | E_F], F the rows without a pivot; and with two
+    sinks the T of the top one, None with one.  With two sinks the top
+    member is [f V | 0 | I], f V padded to the wider of them: the walk
+    stops before I, which only records the row operations.
+    """
+    lim = max(fv.shape[1] for fv in images)
+    d = images[1].shape[0] if len(images) == 2 else 0
+    stack = Stack(len(images), max(fv.shape[0] for fv in images), lim + d, p, limit=lim, forward=True)
+    for k, fv in enumerate(images):
+        stack[k] = fv
+    if d:
+        x = np.zeros((d, lim + d), dtype=np.int64)
+        x[:, :images[1].shape[1]] = images[1]
+        x[:, lim:] = np.eye(d, dtype=np.int64)
+        stack[1] = x
+    helds, bases = [], []
+    for fv, piv in zip(images, stack.eliminate()):
+        held = piv[:fv.shape[1]] >= 0
+        pivrows = piv[piv >= 0]
+        free = np.ones(fv.shape[0], dtype=bool)
+        free[pivrows] = False
+        helds.append(held)
+        bases.append(np.hstack([fv[:, held], np.eye(fv.shape[0], dtype=np.int64)[:, free]]))
+    if len(images) == 1:
+        return helds, bases, None
+    # the walked I block, pivot rows first in pivot-column order
+    return helds, bases, stack.reduced(lim)[1][np.concatenate((pivrows, np.flatnonzero(free)))]
+
+
+def _sink_members(module: PersistenceModule, j: int, tmat: FFMatrix, v1: FFMatrix) -> list[np.ndarray]:
     """The profile members of the sink t = (2, j), as uint16.
 
-    lmat is the L of t and v1 the basis V of s = (1, j).  With
-    U = L M(s -> t) V1 and H = M(s -> (1, d1)) V1, the members are
+    tmat is the T of t and v1 the basis V of s = (1, j).  With
+    U = T M(s -> t) V1 and H = M(s -> (1, d1)) V1, the members are
     rev(U) and [H ; rev(U)] for each d1 > j.
     """
-    rev = mat_mul(lmat, mat_mul(module.vmaps[(1, j)], v1)).data[::-1]
+    rev = mat_mul(tmat, mat_mul(module.vmaps[(1, j)], v1)).data[::-1]
     members, h = [rev.astype(np.uint16)], v1
     for d1 in range(j + 1, module.grid.n + 1):
         h = mat_mul(module.hmaps[(1, d1 - 1)], h)
@@ -187,23 +229,13 @@ class _GroupedRanks:
                 else np.zeros((dims[t], 0), dtype=np.int64)
                 for i, t in zip(bases, sinks)
             ]
-            widths = [fv.shape[1] + dims[t] for fv, t in zip(images, sinks)]
-            stack = Stack(len(sinks), max(dims[t] for t in sinks), max(widths), p)
-            for k, (fv, t) in enumerate(zip(images, sinks)):
-                stack[k] = np.hstack([fv, np.eye(dims[t], dtype=np.int64)])
-            piv = stack.eliminate()
-            for i, t, fv, w in zip(bases, sinks, images, widths):
-                held = piv[i - 1, :w] >= 0
-                w0 = fv.shape[1]
-                prefix = np.concatenate(([0], np.cumsum(held[:w0])))
+            helds, new, tmat = _image_step(images, p)
+            for i, t, held, v in zip(bases, sinks, helds, new):
+                prefix = np.concatenate(([0], np.cumsum(held)))
                 self.rect[t] = prefix[self.rect.get((i, j - 1), [0])].tolist() + [dims[t]]
-                unit = np.eye(dims[t], dtype=np.int64)[:, held[w0:]]
-                bases[i] = FFMatrix._wrap(np.hstack([fv[:, held[:w0]], unit]), p)
-            if g.m == 2:
-                # the reduced I block of the row-2 member, pivot rows first,
-                # is the L with L V = [I ; 0]
-                lmat = stack.reduced(images[1].shape[1])[1][piv[1][piv[1] >= 0], :dims[(2, j)]]
-                members += _sink_members(module, j, FFMatrix._wrap(lmat, p), bases[1])
+                bases[i] = FFMatrix._wrap(v, p)
+            if tmat is not None:
+                members += _sink_members(module, j, FFMatrix._wrap(tmat, p), bases[1])
         if g.m == 2:
             pivots = iter(stack_pivots(members, p))
             for j in range(1, g.n + 1):

@@ -7,12 +7,13 @@ and participates in products, stacking and rank like any other matrix.
 
 One echelon core per field family serves pivot columns, rank, kernel
 and inverse.  A core takes a Stack of matrices, zero-padded to one
-shape, and brings every member to reduced row echelon form in one
-left-to-right column loop: each step is a handful of numpy calls on the
-whole stack, so a stack of many small matrices costs about as many
-calls as one.  Rows are never swapped; each member tracks its free
-rows, and the core returns the row holding each column's pivot.  The
-loop ends once every row of every member holds a pivot.  For p = 2
+shape, and brings every member to reduced row echelon form, or
+eliminates it forward, in one left-to-right column loop: each step is a
+handful of numpy calls on the whole stack, so a stack of many small
+matrices costs about as many calls as one.  Rows are never swapped;
+each member tracks its free rows, and the core returns the row holding
+each column's pivot.  The loop ends once every row of every member
+holds a pivot, or at the stack's column limit.  For p = 2
 rows are packed into 64-bit words and eliminated with XOR, and the core
 reads the live bits of each word to find its pivot columns; for other p
 entries are uint32, pivot rows are scaled by a table of inverses, and
@@ -22,6 +23,17 @@ column count share a stack of up to _BATCH members, zero-padded only in
 rows.  Padding in columns too measured slower where most matrices have
 widths of their own.  kernel_basis and mat_inv read a reduced form, so
 they eliminate a stack of one.
+
+Reduction updates every row with a nonzero in the column, forward
+elimination only the free rows.  A pivot row is never chosen again, and
+each update adds the new pivot row as it stood when chosen, so the free
+rows see the same updates either way: both give the same pivots and
+rank profile.  Only pivots are read from stack_pivots (pivot_columns,
+mat_ranks, rank_invariant, compression's profile members) and from
+compression's image chain, so these eliminate forward; there the GF(p)
+core neither updates nor rescales a pivot row.  The GF(2) core always
+reduces: its XOR update is one dense operation on every row, and
+masking it to the free rows would add an array operation per step.
 
 Residues are taken in place as x - (x // p) p.  For x >= 0 this is
 exactly x mod p, and (x // p) p <= x cannot overflow.  numpy divides by
@@ -192,12 +204,20 @@ class Stack:
 
     Zero rows and trailing zero columns never hold a pivot, so padding
     changes no member's pivot columns, rank or kernel.
+
+    The core walks columns [0, limit) only, limit = cols by default, but
+    its updates carry every column.  With forward set the GF(p) core
+    updates only free rows, which leaves the pivots as they are but not
+    a reduced form; the GF(2) core always reduces.
     """
 
-    __slots__ = ("p", "cols", "data")
+    __slots__ = ("p", "cols", "data", "limit", "forward")
 
-    def __init__(self, count: int, rows: int, cols: int, p: int):
+    def __init__(self, count: int, rows: int, cols: int, p: int,
+                 limit: int | None = None, forward: bool = False):
         self.p, self.cols = p, cols
+        self.limit = cols if limit is None else limit
+        self.forward = forward
         if p == 2:
             self.data = np.zeros(((cols + 63) // 64, count, rows), dtype=np.uint64)
         else:
@@ -214,17 +234,18 @@ class Stack:
             self.data[k, :rows, :cols] = member
 
     def eliminate(self) -> np.ndarray:
-        """Bring every member to reduced row echelon form, in place.
+        """Bring every member to reduced row echelon form, or forward
+        eliminate it, in place, up to the column limit.
 
         Returns a (count, cols) array: the row holding the pivot of each
         member's column, or -1 where the column has no pivot.
         """
         if self.p == 2:
-            return _echelon_gf2(self.data, self.cols)
-        return _echelon_gfp(self.data, self.p)
+            return _echelon_gf2(self.data, self.cols, self.limit)
+        return _echelon_gfp(self.data, self.p, self.limit, self.forward)
 
     def reduced(self, start: int = 0) -> np.ndarray:
-        """Columns start: of every member, as an int64 array."""
+        """Columns start: of every member after eliminate, as an int64 array."""
         if self.p != 2:
             return self.data[:, :, start:].astype(np.int64)
         w = start >> 6
@@ -233,8 +254,9 @@ class Stack:
         return bits[:, :, start - 64 * w:].astype(np.int64)
 
 
-def _echelon_gf2(a: np.ndarray, cols: int) -> np.ndarray:
-    """The GF(2) core on a (words, count, rows) stack of packed rows.
+def _echelon_gf2(a: np.ndarray, cols: int, limit: int | None = None) -> np.ndarray:
+    """The GF(2) core on a (words, count, rows) stack of packed rows,
+    walking the columns below limit (all of them by default).
 
     Word-major order keeps each update's inner loop as long as a member
     has rows.  The core visits only live columns, those where some
@@ -244,14 +266,16 @@ def _echelon_gf2(a: np.ndarray, cols: int) -> np.ndarray:
     column with a pivot.
     """
     words, count, rows = a.shape
+    limit = cols if limit is None else limit
     piv = np.full((count, cols), -1, dtype=np.int64)
     free = np.ones((count, rows), dtype=bool)
     members = np.arange(count)
-    for w in range(words):
+    for w in range((limit + 63) // 64):
         if not free.any():
             break
+        walked = (1 << min(64, limit - 64 * w)) - 1
         k = -1
-        while live := int(np.bitwise_or.reduce(a[w][free])) >> (k + 1):
+        while live := (int(np.bitwise_or.reduce(a[w][free])) & walked) >> (k + 1):
             k += (live & -live).bit_length()
             hit = (a[w] & np.uint64(1 << k)) != 0
             cand = free & hit
@@ -284,19 +308,21 @@ def _inverses(p: int) -> np.ndarray:
     return inv.astype(np.uint32)
 
 
-def _echelon_gfp(a: np.ndarray, p: int) -> np.ndarray:
+def _echelon_gfp(a: np.ndarray, p: int, limit: int | None = None, forward: bool = False) -> np.ndarray:
     """The GF(p) core on a (count, rows, cols) uint32 stack.
 
-    It walks the columns in order and skips one with no nonzero on a
-    free row.  Entries stay in [0, p) and p < 2**16, so an update adds
-    at most p (p - 1) to an entry below p and never leaves uint32.
+    It walks the columns below limit (all of them by default) in order
+    and skips one with no nonzero on a free row.  It reduces, or with
+    forward set updates only the free rows.  Entries stay in [0, p) and
+    p < 2**16, so an update adds at most p (p - 1) to an entry below p
+    and never leaves uint32.
     """
     count, rows, cols = a.shape
     piv = np.full((count, cols), -1, dtype=np.int64)
     free = np.ones((count, rows), dtype=bool)
     members = np.arange(count)
     inverse = _inverses(p)
-    for c in range(cols):
+    for c in range(cols if limit is None else limit):
         col = a[:, :, c]
         cand = free & (col != 0)
         if not cand.any():
@@ -308,11 +334,16 @@ def _echelon_gfp(a: np.ndarray, p: int) -> np.ndarray:
         prow = _reduce(prow * (inverse[prow[:, 0]] * found)[:, None], p)
         # a row with entry e in column c gains (p - e) times the unit row,
         # which clears it; the pivot row gains (p - e + 1) times it, which
-        # leaves it equal to the unit row.  Rows with e = 0 are left alone.
-        hb, hr = np.nonzero(col)
-        gain = p - col[hb, hr]
-        gain += hr == r[hb]
-        a[hb, hr, c:] = _reduce(a[hb, hr, c:] + gain[:, None] * prow[hb], p)
+        # leaves it equal to the unit row.  Rows with e = 0 are left alone,
+        # and so are pivot rows when forward, the new one included.
+        if forward:
+            cand[members, r] = False
+        hb, hr = np.nonzero(cand if forward else col)
+        target = a[hb, hr, c:]
+        gain = p - target[:, 0]
+        if not forward:
+            gain += hr == r[hb]
+        a[hb, hr, c:] = _reduce(target + gain[:, None] * prow[hb], p)
         free[members, r] ^= found
         piv[:, c] = np.where(found, r, -1)
         if not free.any():
@@ -334,7 +365,7 @@ def stack_pivots(members: Sequence[np.ndarray], p: int) -> list[np.ndarray]:
     for cols, ks in groups.items():
         for lo in range(0, len(ks), _BATCH):
             batch = ks[lo:lo + _BATCH]
-            stack = Stack(len(batch), max(members[k].shape[0] for k in batch), cols, p)
+            stack = Stack(len(batch), max(members[k].shape[0] for k in batch), cols, p, forward=True)
             for i, k in enumerate(batch):
                 stack[i] = members[k]
             for k, piv in zip(batch, stack.eliminate()):

@@ -11,7 +11,8 @@ time, apart from the package's Moebius operator, which builds them all
 at once.  mu_prime alone reads that operator, so the tests can check it
 against brute_force_mobius.  block_multiplicity reads shapes off the
 vertex set too.  interval_module and direct_sum build the modules whose
-decomposition a test knows in advance.
+decomposition a test knows in advance; dual and half_turn give the
+module and intervals of the duality check, which needs no oracle.
 """
 
 from __future__ import annotations
@@ -376,6 +377,29 @@ def direct_sum(a: PersistenceModule, b: PersistenceModule) -> PersistenceModule:
     hmaps = {v: block2x2(a.hmaps[v], None, None, b.hmaps[v]) for v in a.grid.harrows()}
     vmaps = {v: block2x2(a.vmaps[v], None, None, b.vmaps[v]) for v in a.grid.varrows()}
     return PersistenceModule(a.grid, a.field, dims, hmaps, vmaps)
+
+
+def dual(module: PersistenceModule) -> PersistenceModule:
+    """The dual module DM on the same grid, turned half a turn: DM at
+    (m + 1 - i, n + 1 - j) is the dual of M at (i, j), and each arrow
+    u -> v of M gives the transposed arrow rho v -> rho u of DM."""
+    g = module.grid
+    m, n = g.m, g.n
+
+    def rho(v: Vertex) -> Vertex:
+        return (m + 1 - v[0], n + 1 - v[1])
+
+    dims = {rho(v): d for v, d in module.dims.items()}
+    # the arrow u -> u + (0, 1) turns into rho u - (0, 1) -> rho u
+    hmaps = {(m + 1 - i, n - j): FFMatrix(a.data.T, a.p) for (i, j), a in module.hmaps.items()}
+    vmaps = {(m - i, n + 1 - j): FFMatrix(a.data.T, a.p) for (i, j), a in module.vmaps.items()}
+    return PersistenceModule(g, module.field, dims, hmaps, vmaps)
+
+
+def half_turn(I: Interval, m: int, n: int) -> Interval:
+    """The interval rho(I) of the m x n grid, rho(i, j) = (m + 1 - i, n + 1 - j)."""
+    rows = tuple((n + 1 - d, n + 1 - b) for b, d in reversed(I.rows))
+    return Interval(m + 1 - I.t, m + 1 - I.s, rows)
 
 
 def interval_module(grid: Grid, I: Interval, field: FieldSpec) -> PersistenceModule:

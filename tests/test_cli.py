@@ -326,3 +326,74 @@ class TestEntryPoint:
     def test_missing_subcommand(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == 1
+
+
+class TestVerifyOutput:
+    """verify -o writes its PASS or MISMATCH line to the file, not stdout,
+    and checks the path before any work."""
+
+    def test_pass_line_goes_to_the_file(self, example_file, tmp_path, capsys):
+        _, want, _ = run_cli(capsys, "verify", example_file)
+        dest = tmp_path / "verdict.txt"
+        code, out, err = run_cli(capsys, "verify", example_file, "-o", str(dest))
+        assert code == 0 and out == "" and err == ""
+        assert dest.read_text() == want and want.startswith("PASS")
+        code, out, _ = run_cli(capsys, "verify", example_file, "-o", "-")
+        assert code == 0 and out == want
+
+    def test_mismatch_line_goes_to_the_file(self, example_file, tmp_path, capsys, monkeypatch):
+        rank_of_sum = cli.rank_of_sum
+        monkeypatch.setattr(cli, "rank_of_sum", lambda s, src, dst: rank_of_sum(s, src, dst) + 1)
+        _, want, _ = run_cli(capsys, "verify", example_file)
+        dest = tmp_path / "verdict.txt"
+        code, out, _ = run_cli(capsys, "verify", example_file, "--output", str(dest))
+        assert code == 3 and out == ""
+        assert dest.read_text() == want and want.startswith("MISMATCH rank at ")
+
+    def test_no_work_without_a_writable_output(self, example_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_read_module", TestOutputCheckedFirst.refuse)
+        dest = tmp_path / "missing" / "x"
+        code, out, err = run_cli(capsys, "verify", example_file, "-o", str(dest))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {dest}: ")
+
+
+class TestBenchField:
+    """bench --field P times modules over GF(P); without it, GF(2), and
+    the CSV is as before."""
+
+    @staticmethod
+    def restart_clock(monkeypatch):
+        # a clock from 0 that advances 1 ms per reading, so timings repeat exactly
+        ticks = iter(range(10**9))
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: next(ticks) / 1000.0)
+
+    def fields(self, monkeypatch):
+        seen = []
+        make = cli.random_module
+        monkeypatch.setattr(cli, "random_module", lambda n, d, field, rng: seen.append(field.p) or make(n, d, field, rng))
+        return seen
+
+    def test_default_csv_unchanged(self, capsys, monkeypatch):
+        seen = self.fields(monkeypatch)
+        argv = ["bench", "--n", "2,3", "--d", "0,2", "--reps", "2"]
+        self.restart_clock(monkeypatch)
+        code, plain, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert plain.splitlines()[0] == "n,d,reps,mean_ms,intervals,path_pairs"
+        assert plain.splitlines()[1] == "2,0,100,1.0,11,9"
+        self.restart_clock(monkeypatch)
+        code, explicit, _ = run_cli(capsys, *argv, "--field", "2")
+        assert code == 0 and explicit == plain
+        assert seen == [2] * 8
+
+    def test_odd_field(self, capsys, monkeypatch):
+        seen = self.fields(monkeypatch)
+        code, out, _ = run_cli(capsys, "bench", "--n", "3", "--d", "2", "--reps", "1", "--field", "65521")
+        assert code == 0 and seen == [65521]
+        assert out.splitlines()[1].startswith("3,2,")
+
+    def test_rejects_composite(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_bench_cell", TestOutputCheckedFirst.refuse)
+        code, out, err = run_cli(capsys, "bench", "--n", "2", "--field", "4")
+        assert code == 2 and out == "" and "prime" in err

@@ -659,3 +659,110 @@ class TestImmutability:
 
     def test_entries_reduced(self):
         assert FFMatrix([[5, -1]], 3).tolist() == [[2, 2]]
+
+
+def one_stack(mats, p, **kwargs):
+    """The matrices in one stack, eliminated: their pivot rows and the stack."""
+    stack = Stack(len(mats), max(a.shape[0] for a in mats), max(a.shape[1] for a in mats), p, **kwargs)
+    for k, a in enumerate(mats):
+        stack[k] = a
+    return stack.eliminate(), stack
+
+
+def forward_members(rng, p, count):
+    """Members with mixed row counts, zero rows and columns and all-(p - 1) blocks."""
+    mats = [np.zeros((0, 7), dtype=np.int64), np.zeros((6, 0), dtype=np.int64),
+            np.zeros((5, 9), dtype=np.int64), np.full((6, 9), p - 1), np.full((1, 1), p - 1)]
+    for _ in range(count):
+        rows, cols = (int(x) for x in rng.integers(0, 12, size=2))
+        if rng.random() < 0.5:
+            a = sparse_low_rank(rng, rows, cols, int(rng.integers(0, 8)), p)
+        else:
+            a = rng.integers(0, p, size=(rows, cols))
+        a[rng.random(rows) < 0.2] = 0
+        a[:, rng.random(cols) < 0.2] = 0
+        mats.append(a)
+    return [mats[k] for k in rng.permutation(len(mats))]
+
+
+class TestForward:
+    """Forward elimination updates only the free rows; a free row sees the
+    updates a reduction would give it, so the pivots are the same."""
+
+    def check(self, mats, p):
+        fwd, fstack = one_stack(mats, p, forward=True)
+        red, rstack = one_stack(mats, p)
+        assert np.array_equal(fwd, red)
+        for a, piv, fform, rform in zip(mats, fwd, fstack.reduced(), rstack.reduced()):
+            rows, cols = a.shape
+            assert np.count_nonzero(piv >= 0) == naive_rank(a.tolist(), p)
+            assert piv.max(initial=-1) < rows
+            free = np.setdiff1d(np.arange(rows), piv[piv >= 0])
+            assert np.array_equal(fform[free], rform[free])
+            body = a.tolist()
+            for r in prefix_cuts(rows):
+                for m in prefix_cuts(cols):
+                    assert profile_ranks(piv, r, m) == naive_rank([row[:m] for row in body[:r]], p)
+
+    @pytest.mark.parametrize("p", [3, 65521])
+    def test_mixed_stack_and_dead_column_runs(self, p):
+        rng = np.random.default_rng([p, 16])
+        self.check(forward_members(rng, p, 30) + dead_column_members(rng, p), p)
+
+    @given(st.sampled_from([3, 65521]), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_random_stacks(self, p, count, seed):
+        self.check(forward_members(np.random.default_rng(seed), p, count), p)
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    def test_callers(self, p, monkeypatch):
+        # stack_pivots eliminates forward; kernel_basis and mat_inv reduce
+        modes = []
+        eliminate = Stack.eliminate
+        monkeypatch.setattr(Stack, "eliminate", lambda stack: modes.append(stack.forward) or eliminate(stack))
+        a = FFMatrix.identity(3, p)
+        mat_ranks([a])
+        assert modes == [True]
+        kernel_basis(a)
+        mat_inv(a)
+        assert modes == [True, False, False]
+
+
+class TestColumnLimit:
+    """The walk stops at the stack's column limit, and every column takes
+    its row operations: walking [a | I] to a column limit leaves [E a | E]
+    with E invertible."""
+
+    def check(self, a, limit, p, forward=False):
+        rows, cols = a.shape
+        stack = Stack(1, rows, cols + rows, p, limit=limit, forward=forward)
+        stack[0] = np.hstack([a, np.eye(rows, dtype=np.int64)])
+        piv = stack.eliminate()[0]
+        walked = stack.reduced()[0]
+        e = walked[:, cols:]
+        assert piv[:limit].tolist() == walked_echelon(a[:, :limit], p)[0]
+        assert (piv[limit:] < 0).all()
+        assert np.array_equal(e @ a % p, walked[:, :cols])
+        assert naive_rank(e.tolist(), p) == rows
+        if not forward:
+            assert np.array_equal(walked[:, :limit], walked_echelon(a[:, :limit], p)[1])
+        # a full walk has pivots past the limit, so the limit stopped it
+        assert (one_stack([a], p)[0][0, limit:] >= 0).any()
+
+    @pytest.mark.parametrize("p", [3, 65521])
+    @pytest.mark.parametrize("forward", [False, True])
+    def test_gfp(self, p, forward):
+        rng = np.random.default_rng([p, 17])
+        for rows, cols, limit in ((8, 12, 3), (20, 30, 10), (12, 70, 64), (5, 9, 0)):
+            a = sparse_low_rank(rng, rows, cols, rows // 2, p)
+            a[:, limit:] = rng.integers(0, p, size=(rows, cols - limit))
+            self.check(a, limit, p, forward)
+
+    @pytest.mark.parametrize("limit", [63, 64, 65])
+    def test_gf2_word_edges(self, limit):
+        # 100 columns of a and 30 of I: a 130-column stack, three words
+        rng = np.random.default_rng(limit)
+        a = np.zeros((30, 100), dtype=np.int64)
+        a[:, :60] = sparse_low_rank(rng, 30, 60, 6, 2)
+        a[:, 60:] = rng.integers(0, 2, size=(30, 40))
+        self.check(a, limit, 2)
