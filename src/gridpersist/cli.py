@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import os
+import statistics
 import sys
 import time
 
@@ -32,6 +33,7 @@ from .pmod import PmodError, format_interval_function, format_signed_sum, print_
 USAGE_ERROR = 1
 PARSE_ERROR = 2
 VERIFY_MISMATCH = 3
+_BENCH_CELL_S = 0.5  # least timed seconds per bench cell, so fast cells repeat enough to compare
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,16 +43,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _int_list(least: int):
-    """argparse type: comma-separated integers, each at least `least`."""
-    def convert(text: str) -> list[int]:
+def _at_least(least: int, many: bool = False):
+    """argparse type: an integer, or with `many` comma-separated integers, each at least `least`."""
+    def convert(text: str):
         try:
-            values = [int(x) for x in text.split(",")]
+            values = [int(x) for x in text.split(",")] if many else [int(text)]
             if min(values) >= least:
-                return values
+                return values if many else values[0]
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers >= {least}, got {text!r}")
+        what = "comma-separated integers" if many else "an integer"
+        raise argparse.ArgumentTypeError(f"expected {what} >= {least}, got {text!r}")
     return convert
 
 
@@ -171,31 +174,30 @@ def _bench_cell(n: int, d: int, reps: int, seed: int, field: FieldSpec = GF2):
     module = random_module(n, d, field, rng)
     enumerate_intervals(2, n)  # interval enumeration is excluded from timing
     times = []
-    while len(times) < reps or sum(times) < 0.1:
+    while len(times) < reps or sum(times) < _BENCH_CELL_S:
         t0 = time.perf_counter()
         f = compressed_multiplicity_function(module)
         mobius_invert(f, 2, n)
         times.append(time.perf_counter() - t0)
-    pairs = sum(1 for _ in module.grid.comparable_pairs())
     return {
         "n": n,
         "d": d,
         "reps": len(times),
         "mean_ms": round(1000.0 * sum(times) / len(times), 3),
+        "median_ms": round(1000.0 * statistics.median(times), 3),
         "intervals": len(enumerate_intervals(2, n)),
-        "path_pairs": pairs,
+        "path_pairs": sum(1 for _ in module.grid.comparable_pairs()),
     }
 
 
 def cmd_bench(args) -> int:
     _check_writable(args.output)
     field = FieldSpec(args.field)
+    rows = [_bench_cell(n, d, args.reps, args.seed, field) for d in args.d for n in args.n]
     out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=["n", "d", "reps", "mean_ms", "intervals", "path_pairs"])
+    writer = csv.DictWriter(out, fieldnames=list(rows[0]))
     writer.writeheader()
-    for d in args.d:
-        for n in args.n:
-            writer.writerow(_bench_cell(n, d, args.reps, args.seed, field))
+    writer.writerows(rows)
     _write_output(out.getvalue(), args.output)
     return 0
 
@@ -236,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("bench", help="timing table over grid widths and dimensions (CSV)")
-    p.add_argument("--n", type=_int_list(1), default="4,8,16", help="comma-separated grid widths")
-    p.add_argument("--d", type=_int_list(0), default="10", help="comma-separated space dimensions")
-    p.add_argument("--reps", type=int, default=5)
+    p.add_argument("--n", type=_at_least(1, many=True), default="4,8,16", help="comma-separated grid widths")
+    p.add_argument("--d", type=_at_least(0, many=True), default="10", help="comma-separated space dimensions")
+    p.add_argument("--reps", type=_at_least(1), default=5, help="least timed runs per cell")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--field", type=int, default=2, help="prime modulus of the random modules")
     p.add_argument("--output", "-o", default=None)

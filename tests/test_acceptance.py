@@ -301,15 +301,21 @@ def test_criterion_15_scaling_report():
     mid = time.perf_counter()
     large = _bench_cell(16, 100, 5, 0)
     large_wall = time.perf_counter() - mid
-    ratio = large["mean_ms"] / small["mean_ms"]
+    # A cell's cost is a sum of terms, each with a nonnegative weight: per
+    # column (n image eliminations), per column pair (the n (n + 1) / 2
+    # profile members, their stacks and the products chaining them), per
+    # interval (402 -> 4148) and per Moebius entry (2291 -> 36 817).  So
+    # doubling n multiplies it by between the least and the greatest of
+    # their growths, 2 and 16.1.
+    ratio = large["median_ms"] / small["median_ms"]
     under_limit = large_wall < 60.0
-    in_band = 8.0 <= ratio <= 48.0
+    in_band = 2.0 <= ratio <= 16.1
     record_criterion(
         15,
         under_limit and in_band,
-        f"bench d=100: n=8 mean {small['mean_ms']:.0f}ms, n=16 mean {large['mean_ms']:.0f}ms, "
+        f"bench d=100: n=8 median {small['median_ms']:.0f}ms, n=16 median {large['median_ms']:.0f}ms, "
         f"n=16 cell wall {large_wall:.1f}s (< 60s: {'yes' if under_limit else 'NO'}), "
-        f"ratio {ratio:.1f} in [8, 48]: {'yes' if in_band else 'NO'} (report only)",
+        f"ratio {ratio:.1f} in [2, 16.1]: {'yes' if in_band else 'NO'} (report only)",
     )
     # reported, not gated: only well-formedness is asserted
     assert small["reps"] >= 5 and large["reps"] >= 5

@@ -243,7 +243,7 @@ class TestBench:
         assert [(r["n"], r["d"]) for r in rows] == [("2", "1"), ("3", "1"), ("2", "2"), ("3", "2")]
         for r in rows:
             assert int(r["reps"]) >= 1
-            assert float(r["mean_ms"]) >= 0.0
+            assert float(r["mean_ms"]) >= 0.0 and float(r["median_ms"]) >= 0.0
             assert int(r["intervals"]) > 0
             assert int(r["path_pairs"]) > 0
 
@@ -253,7 +253,23 @@ class TestBench:
             assert code == 1 and out == "", (flag, value)
             assert err.startswith("usage: ") and f"argument {flag}: expected comma-separated" in err
         args = build_parser().parse_args(["bench", "--d", "0,5"])
-        assert (args.n, args.d) == ([4, 8, 16], [0, 5])
+        assert (args.n, args.d, args.reps) == ([4, 8, 16], [0, 5], 5)
+
+    @pytest.mark.parametrize("value", ["0", "-2", "x", "1,2", ""])
+    def test_reps_below_one_is_a_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setattr(cli, "_bench_cell", TestOutputCheckedFirst.refuse)
+        code, out, err = run_cli(capsys, "bench", "--n", "2", "--reps", value)
+        assert code == 1 and out == ""
+        assert err.startswith("usage: ") and f"argument --reps: expected an integer >= 1, got {value!r}" in err
+
+    def test_cells_run_for_at_least_the_cell_time(self, capsys, monkeypatch):
+        # a clock that advances 10 ms per reading, so each timed run takes 10 ms
+        ticks = iter(range(10**9))
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: next(ticks) / 100.0)
+        code, out, _ = run_cli(capsys, "bench", "--n", "2", "--d", "1", "--reps", "1")
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert code == 0 and int(row["reps"]) * 0.010 >= cli._BENCH_CELL_S
+        assert (row["mean_ms"], row["median_ms"]) == ("10.0", "10.0")
 
     def test_interval_column_matches_enumeration(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--n", "4", "--d", "1", "--reps", "1")
@@ -364,9 +380,9 @@ class TestBenchField:
 
     @staticmethod
     def restart_clock(monkeypatch):
-        # a clock from 0 that advances 1 ms per reading, so timings repeat exactly
+        # a clock from 0 that advances 5 ms per reading, so timings repeat exactly
         ticks = iter(range(10**9))
-        monkeypatch.setattr(cli.time, "perf_counter", lambda: next(ticks) / 1000.0)
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: next(ticks) / 200.0)
 
     def fields(self, monkeypatch):
         seen = []
@@ -380,8 +396,9 @@ class TestBenchField:
         self.restart_clock(monkeypatch)
         code, plain, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert plain.splitlines()[0] == "n,d,reps,mean_ms,intervals,path_pairs"
-        assert plain.splitlines()[1] == "2,0,100,1.0,11,9"
+        assert plain.splitlines()[0] == "n,d,reps,mean_ms,median_ms,intervals,path_pairs"
+        # 100 runs of 5 ms sum to just under the 0.5 s cell time in floating point
+        assert plain.splitlines()[1] == "2,0,101,5.0,5.0,11,9"
         self.restart_clock(monkeypatch)
         code, explicit, _ = run_cli(capsys, *argv, "--field", "2")
         assert code == 0 and explicit == plain
