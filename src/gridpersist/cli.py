@@ -109,50 +109,36 @@ def _read_module(path: str):
         raise SystemExit(PARSE_ERROR)
 
 
-def cmd_intervals(args) -> int:
+def cmd_intervals(args) -> tuple[int, str]:
     intervals = enumerate_intervals(args.m, args.n)
-    if args.count:
-        print(len(intervals))
-    else:
-        for I in intervals:
-            print(I.to_string())
-    return 0
+    lines = [str(len(intervals))] if args.count else [I.to_string() for I in intervals]
+    return 0, "".join(line + "\n" for line in lines)
 
 
-def cmd_compress(args) -> int:
-    _check_writable(args.output)
-    module = _read_module(args.input)
-    f = compressed_multiplicity_function(module)
-    _write_output(format_interval_function(f), args.output)
-    return 0
+def cmd_compress(args) -> tuple[int, str]:
+    f = compressed_multiplicity_function(_read_module(args.input))
+    return 0, format_interval_function(f)
 
 
-def cmd_approx(args) -> int:
-    _check_writable(args.output)
-    module = _read_module(args.input)
-    approx = interval_approximation(module)
-    _write_output(format_signed_sum(approx.coeffs), args.output)
-    return 0
+def cmd_approx(args) -> tuple[int, str]:
+    approx = interval_approximation(_read_module(args.input))
+    return 0, format_signed_sum(approx.coeffs)
 
 
-def cmd_verify(args) -> int:
-    _check_writable(args.output)
+def cmd_verify(args) -> tuple[int, str]:
     module = _read_module(args.input)
     approx = interval_approximation(module)
     ranks = rank_invariant(module)
     for (src, dst), r in ranks.items():
         got = rank_of_sum(approx, src, dst)
         if got != r:
-            _write_output(f"MISMATCH rank at {src} -> {dst}: module {r}, approximation {got}\n", args.output)
-            return VERIFY_MISMATCH
+            return VERIFY_MISMATCH, f"MISMATCH rank at {src} -> {dst}: module {r}, approximation {got}\n"
     # the pairs (v, v) include the dimension vector: rank M(v -> v) = dim M_v
-    _write_output(f"PASS rank invariant preserved on {len(ranks)} pairs, dimension vector "
-                  f"{format_dimvec(dimension_vector(module), module.grid.m, module.grid.n)}\n", args.output)
-    return 0
+    return 0, (f"PASS rank invariant preserved on {len(ranks)} pairs, dimension vector "
+               f"{format_dimvec(dimension_vector(module), module.grid.m, module.grid.n)}\n")
 
 
-def cmd_gen(args) -> int:
-    _check_writable(args.output)
+def cmd_gen(args) -> tuple[int, str]:
     field = FieldSpec(args.field)
     rng = make_rng(args.seed)
     if args.kind == "random":
@@ -165,8 +151,7 @@ def cmd_gen(args) -> int:
         module = staircase_family_module(args.l, field)
     else:
         module = example_module(field)
-    _write_output(print_pmod(module), args.output)
-    return 0
+    return 0, print_pmod(module)
 
 
 def _bench_cell(n: int, d: int, reps: int, seed: int, field: FieldSpec = GF2):
@@ -190,16 +175,14 @@ def _bench_cell(n: int, d: int, reps: int, seed: int, field: FieldSpec = GF2):
     }
 
 
-def cmd_bench(args) -> int:
-    _check_writable(args.output)
+def cmd_bench(args) -> tuple[int, str]:
     field = FieldSpec(args.field)
     rows = [_bench_cell(n, d, args.reps, args.seed, field) for d in args.d for n in args.n]
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=list(rows[0]))
     writer.writeheader()
     writer.writerows(rows)
-    _write_output(out.getvalue(), args.output)
-    return 0
+    return 0, out.getvalue()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--count", action="store_true", help="print only the number of intervals")
-    p.set_defaults(func=cmd_intervals)
+    p.set_defaults(func=cmd_intervals, output=None)
 
     for name, func, help_text in (
         ("compress", cmd_compress, "compressed multiplicity of every interval"),
@@ -250,13 +233,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: check its -o path before any work, then write its
+    text there, or to stdout without -o, once the command has finished."""
+    args = build_parser().parse_args(argv)
+    _check_writable(args.output)
     try:
-        return args.func(args)
+        code, text = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
+    _write_output(text, args.output)
+    return code
 
 
 if __name__ == "__main__":

@@ -18,22 +18,22 @@ rows are packed into 64-bit words and eliminated with XOR, and the core
 reads the live bits of each word to find its pivot columns; for other p
 entries are uint32, pivot rows are scaled by a table of inverses, and
 the core walks the columns in order.  stack_pivots is the one batching
-policy, for pivot_columns, mat_ranks and compression: matrices with one
-column count share a stack of up to _BATCH members, zero-padded only in
-rows.  Padding in columns too measured slower where most matrices have
-widths of their own.  kernel_basis and mat_inv read a reduced form, so
-they eliminate a stack of one.
+policy, for mat_ranks and compression: matrices with one column count
+share a stack of up to _BATCH members, zero-padded only in rows.
+Padding in columns too measured slower where most matrices have widths
+of their own.  kernel_basis and mat_inv read a reduced form, so they
+eliminate a stack of one.
 
 Reduction updates every row with a nonzero in the column, forward
 elimination only the free rows.  A pivot row is never chosen again, and
 each update adds the new pivot row as it stood when chosen, so the free
 rows see the same updates either way: both give the same pivots and
-rank profile.  Only pivots are read from stack_pivots (pivot_columns,
-mat_ranks, rank_invariant, compression's profile members) and from
-compression's image chain, so these eliminate forward; there the GF(p)
-core neither updates nor rescales a pivot row.  The GF(2) core always
-reduces: its XOR update is one dense operation on every row, and
-masking it to the free rows would add an array operation per step.
+rank profile.  Only pivots are read from stack_pivots (mat_ranks,
+rank_invariant, compression's profile members) and from compression's
+image chain, so these eliminate forward; there the GF(p) core neither
+updates nor rescales a pivot row.  The GF(2) core always reduces: its
+XOR update is one dense operation on every row, and masking it to the
+free rows would add an array operation per step.
 
 Residues are taken in place as x - (x // p) p.  For x >= 0 this is
 exactly x mod p, and (x // p) p <= x cannot overflow.  numpy divides by
@@ -373,14 +373,9 @@ def stack_pivots(members: Sequence[np.ndarray], p: int) -> list[np.ndarray]:
     return pivots
 
 
-def pivot_columns(a: FFMatrix) -> list[int]:
-    """Ascending pivot columns of an echelon form of a; those below c number rank a[:, :c]."""
-    return np.flatnonzero(stack_pivots([a.data], a.p)[0] >= 0).tolist()
-
-
 def mat_rank(a: FFMatrix) -> int:
     """Rank of a over GF(p); a 0 x k or k x 0 matrix has rank 0."""
-    return len(pivot_columns(a))
+    return mat_ranks([a])[0]
 
 
 def mat_ranks(mats: Sequence[FFMatrix]) -> list[int]:

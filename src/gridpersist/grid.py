@@ -138,26 +138,22 @@ def validate(module: PersistenceModule) -> tuple[int, int] | None:
 
 
 def path_map_table(module: PersistenceModule) -> dict[tuple[Vertex, Vertex], FFMatrix]:
-    """Matrices of all path maps M(src -> dst) for comparable src <= dst.
+    """Matrices of all path maps M(src -> dst) for comparable src <= dst,
+    keyed in Grid.comparable_pairs() order.
 
-    Built eagerly by increasing path length with exactly one matrix
-    multiplication per pair; identity entries for src = dst are
-    included.  Commutativity makes the value path-independent.
+    Identity entries for src = dst are included; every other entry is
+    one matrix multiplication: the path's last arrow after the path to
+    that arrow's foot, which the order lists first.  Commutativity makes
+    the value path-independent.
     """
-    g = module.grid
     table: dict[tuple[Vertex, Vertex], FFMatrix] = {}
-    for v in g.vertices():
-        table[(v, v)] = FFMatrix.identity(module.dims[v], module.field.p)
-    for dist in range(1, g.m + g.n - 1):
-        for src in g.vertices():
-            i1, j1 = src
-            for i2 in range(i1, g.m + 1):
-                j2 = j1 + dist - (i2 - i1)
-                if j2 < j1 or j2 > g.n:
-                    continue
-                # the last arrow of the path, keyed by its foot
-                arrows, foot = (module.hmaps, (i2, j2 - 1)) if j2 > j1 else (module.vmaps, (i2 - 1, j2))
-                table[(src, (i2, j2))] = mat_mul(arrows[foot], table[(src, foot)])
+    for src, (i2, j2) in module.grid.comparable_pairs():
+        if src == (i2, j2):
+            table[(src, src)] = FFMatrix.identity(module.dims[src], module.field.p)
+            continue
+        # the last arrow of the path, keyed by its foot
+        arrows, foot = (module.hmaps, (i2, j2 - 1)) if j2 > src[1] else (module.vmaps, (i2 - 1, j2))
+        table[(src, (i2, j2))] = mat_mul(arrows[foot], table[(src, foot)])
     return table
 
 
@@ -167,8 +163,7 @@ def rank_invariant(module: PersistenceModule) -> dict[tuple[Vertex, Vertex], int
     The path maps are eliminated together as zero-padded stacks.
     """
     table = path_map_table(module)
-    pairs = list(module.grid.comparable_pairs())
-    return dict(zip(pairs, mat_ranks([table[pair] for pair in pairs])))
+    return dict(zip(table, mat_ranks(list(table.values()))))
 
 
 def dimension_vector(module: PersistenceModule) -> dict[Vertex, int]:

@@ -95,6 +95,7 @@ def _slot_subsets(moves, first: int, k: np.ndarray, b: np.ndarray, d: np.ndarray
         at = (np.arange(len(ck)), move_row[ck, slot])
         np.minimum.at(cb, at, move_b[ck, slot])
         np.maximum.at(cd, at, move_d[ck, slot])
+        del keep, at  # not held while the descendants are walked
         yield ck, cb, cd, -sign
         yield from _slot_subsets(moves, slot + 1, ck, cb, cd, -sign)
 

@@ -320,12 +320,17 @@ class TestOutputCheckedFirst:
             assert code == 2 and err.startswith(f"error: {bad}: ")
         assert kept.read_text() == "old\n" and not fresh.exists()
 
-    def test_existing_output_is_replaced_on_success(self, example_file, tmp_path, capsys):
+    def test_existing_output_is_replaced_on_success(self, example_file, tmp_path, capsys, monkeypatch):
+        # verify is covered by TestVerifyOutput; bench times repeat only from a restarted clock
         dest = tmp_path / "out.txt"
-        dest.write_text("old and much longer than the result\n" * 20)
-        code, want, _ = run_cli(capsys, "approx", example_file)
-        assert run_cli(capsys, "approx", example_file, "-o", str(dest))[0] == 0
-        assert dest.read_text() == want
+        for argv in (["compress", example_file], ["approx", example_file], ["gen", "example"],
+                     ["bench", "--n", "2", "--d", "0", "--reps", "1"]):
+            dest.write_text("old and much longer than the result\n" * 20)
+            TestBenchField.restart_clock(monkeypatch)
+            code, want, _ = run_cli(capsys, *argv)
+            TestBenchField.restart_clock(monkeypatch)
+            assert run_cli(capsys, *argv, "-o", str(dest))[:2] == (code, "")
+            assert dest.read_bytes() == want.encode()
 
 
 class TestEntryPoint:
