@@ -56,7 +56,8 @@ and one per sink of row 2, by three exact identities:
       rank [V_c | x] = rank [T V_c | T x] = c + rank((T x)[c:]).
 
   Any invertible upper triangular D in place of T V_t would do the same,
-  as (D y)[c:] = D[c:, c:] y[c:]; on GF(2), whose core reduces, R = I.
+  as (D y)[c:] = D[c:, c:] y[c:], so R need not be I: a forward
+  elimination leaves it as it is.
 * Rank profile.  Both echelon cores pivot on the topmost free row with a
   nonzero and change a row only by multiples of pivot rows.  A free row
   above the pivot row is zero in its column and takes nothing from it,

@@ -8,21 +8,35 @@ and participates in products, stacking and rank like any other matrix.
 One echelon core per field family serves pivot columns, rank, kernel
 and inverse.  A core takes a Stack of matrices, zero-padded to one
 shape, and brings every member to reduced row echelon form, or
-eliminates it forward, in one left-to-right column loop: each step is a
-handful of numpy calls on the whole stack, so a stack of many small
-matrices costs about as many calls as one.  Rows are never swapped;
-each member tracks its free rows, and the core returns the row holding
-each column's pivot.  The loop ends once every row of every member
-holds a pivot, or at the stack's column limit.  For p = 2
-rows are packed into 64-bit words and eliminated with XOR, and the core
-reads the live bits of each word to find its pivot columns; for other p
-entries are uint32, pivot rows are scaled by a table of inverses, and
-the core walks the columns in order.  stack_pivots is the one batching
-policy, for mat_ranks and compression: matrices with one column count
-share a stack of up to _BATCH members, zero-padded only in rows.
-Padding in columns too measured slower where most matrices have widths
-of their own.  kernel_basis and mat_inv read a reduced form, so they
-eliminate a stack of one.
+eliminates it forward, up to the stack's column limit.  Rows are never
+swapped; each member tracks its free rows, and the core returns the row
+holding each column's pivot.
+
+For other p than 2 entries are uint32 and the core walks the columns in
+one left-to-right loop: each step is a handful of numpy calls on the
+whole stack, so a stack of many small matrices costs about as many
+calls as one.  Pivot rows are scaled by a table of inverses, and the
+loop ends once every row of every member holds a pivot.
+
+GF(2) has two loops, chosen by the rows a stack holds in all, count x
+rows.  Up to _INT_ROWS, each row is one Python int, bit c for column c,
+and a step is a few int operations on one row; numpy's call overhead,
+tens of microseconds a step, would cost more than the arithmetic.
+Larger stacks pack rows into 64-bit words, eliminate the whole stack
+with XOR, and read the live bits of each word to find their pivot
+columns.  _INT_ROWS is where the two cross on stacks of random square
+members: the int rows win up to 256 rows in all and lose from about
+320.  On the stacks of a 2 x 12, d = 100 module the int rows take
+about 60 % of the numpy loop's time for the image chain (2 members of
+100 rows), but the numpy loop takes an eighth of theirs for the 78
+profile members of up to 200 x 100.
+
+stack_pivots is the one batching policy, for mat_ranks and compression:
+matrices with one column count share a stack of up to _BATCH members,
+zero-padded only in rows, and on GF(2) packed in one call.  Padding in
+columns too measured slower where most matrices have widths of their
+own.  kernel_basis and mat_inv read a reduced form, so they eliminate a
+stack of one.
 
 Reduction updates every row with a nonzero in the column, forward
 elimination only the free rows.  A pivot row is never chosen again, and
@@ -30,10 +44,11 @@ each update adds the new pivot row as it stood when chosen, so the free
 rows see the same updates either way: both give the same pivots and
 rank profile.  Only pivots are read from stack_pivots (mat_ranks,
 rank_invariant, compression's profile members) and from compression's
-image chain, so these eliminate forward; there the GF(p) core neither
-updates nor rescales a pivot row.  The GF(2) core always reduces: its
-XOR update is one dense operation on every row, and masking it to the
-free rows would add an array operation per step.
+image chain, so these eliminate forward; there the GF(p) core and the
+GF(2) int rows neither update nor rescale a pivot row.  The GF(2) numpy
+loop always reduces: its XOR update is one dense operation on every
+row, and masking it to the free rows would add an array operation per
+step.
 
 Residues are taken in place as x - (x // p) p.  For x >= 0 this is
 exactly x mod p, and (x // p) p <= x cannot overflow.  numpy divides by
@@ -195,20 +210,26 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
 # members per stack in stack_pivots; bounds the scratch of one elimination
 _BATCH = 64
 
+# rows in all, count x rows, up to which a GF(2) stack is held as Python
+# int rows; larger stacks take the word-parallel numpy loop
+_INT_ROWS = 256
+
 
 class Stack:
     """count matrices over GF(p), zero-padded to rows x cols and laid out
-    for their field's echelon core: for p = 2 each row is packed into
-    little-endian 64-bit words, stored word-major; for other p the
+    for their field's echelon core.  For p = 2 a stack of at most
+    _INT_ROWS rows in all holds one list of Python ints per member, bit c
+    of a row for column c; a larger one packs each row into
+    little-endian 64-bit words, stored word-major.  For other p the
     entries are uint32.
 
     Zero rows and trailing zero columns never hold a pivot, so padding
     changes no member's pivot columns, rank or kernel.
 
     The core walks columns [0, limit) only, limit = cols by default, but
-    its updates carry every column.  With forward set the GF(p) core
-    updates only free rows, which leaves the pivots as they are but not
-    a reduced form; the GF(2) core always reduces.
+    its updates carry every column.  With forward set the GF(p) core and
+    the int rows update only free rows, which leaves the pivots as they
+    are but not a reduced form; the GF(2) numpy loop always reduces.
     """
 
     __slots__ = ("p", "cols", "data", "limit", "forward")
@@ -218,20 +239,37 @@ class Stack:
         self.p, self.cols = p, cols
         self.limit = cols if limit is None else limit
         self.forward = forward
-        if p == 2:
-            self.data = np.zeros(((cols + 63) // 64, count, rows), dtype=np.uint64)
-        else:
+        if p != 2:
             self.data = np.zeros((count, rows, cols), dtype=np.uint32)
+        elif count * rows <= _INT_ROWS:
+            self.data = [[0] * rows for _ in range(count)]
+        else:
+            self.data = np.zeros(((cols + 63) // 64, count, rows), dtype=np.uint64)
 
     def __setitem__(self, k: int, member: np.ndarray) -> None:
         """Store a matrix with entries in [0, p) as member k."""
         rows, cols = member.shape
-        if self.p == 2:
-            packed = np.zeros((rows, 8 * self.data.shape[0]), dtype=np.uint8)
-            packed[:, : (cols + 7) // 8] = np.packbits(member, axis=1, bitorder="little")
-            self.data[:, k, :rows] = packed.view(np.uint64).T
-        else:
+        if self.p != 2:
             self.data[k, :rows, :cols] = member
+        elif isinstance(self.data, list):
+            packed = np.packbits(member, axis=1, bitorder="little")
+            self.data[k][:rows] = [int.from_bytes(row, "little") for row in packed]
+        else:
+            self.fill([member], k)
+
+    def fill(self, members: Sequence[np.ndarray], start: int = 0) -> None:
+        """Store matrices with entries in [0, p) as members start, start + 1, ...;
+        a GF(2) stack of packed words packs them all in one call."""
+        if self.p != 2 or isinstance(self.data, list):
+            for k, member in enumerate(members, start):
+                self[k] = member
+            return
+        words, _, rows = self.data.shape
+        bits = np.zeros((len(members), rows, 64 * words), dtype=np.uint8)
+        for k, member in enumerate(members):
+            bits[k, :member.shape[0], :member.shape[1]] = member
+        packed = np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
+        self.data[:, start:start + len(members)] = packed.transpose(2, 0, 1)
 
     def eliminate(self) -> np.ndarray:
         """Bring every member to reduced row echelon form, or forward
@@ -240,6 +278,8 @@ class Stack:
         Returns a (count, cols) array: the row holding the pivot of each
         member's column, or -1 where the column has no pivot.
         """
+        if isinstance(self.data, list):
+            return _echelon_ints(self.data, self.cols, self.limit, self.forward)
         if self.p == 2:
             return _echelon_gf2(self.data, self.cols, self.limit)
         return _echelon_gfp(self.data, self.p, self.limit, self.forward)
@@ -248,15 +288,63 @@ class Stack:
         """Columns start: of every member after eliminate, as an int64 array."""
         if self.p != 2:
             return self.data[:, :, start:].astype(np.int64)
-        w = start >> 6
-        rows = np.ascontiguousarray(self.data[w:].transpose(1, 2, 0))
-        bits = np.unpackbits(rows.view(np.uint8), axis=2, count=self.cols - 64 * w, bitorder="little")
-        return bits[:, :, start - 64 * w:].astype(np.int64)
+        if isinstance(self.data, list):
+            width = (self.cols - start + 7) // 8
+            body = b"".join((x >> start).to_bytes(width, "little") for rows in self.data for x in rows)
+            shape = (len(self.data), len(self.data[0]) if self.data else 0, width)
+            rows, skip = np.frombuffer(body, dtype=np.uint8).reshape(shape), 0
+        else:
+            w = start >> 6
+            rows = np.ascontiguousarray(self.data[w:].transpose(1, 2, 0)).view(np.uint8)
+            skip = start - 64 * w
+        bits = np.unpackbits(rows, axis=2, count=self.cols - start + skip, bitorder="little")
+        return bits[:, :, skip:].astype(np.int64)
+
+
+def _echelon_ints(members: list[list[int]], cols: int, limit: int | None = None,
+                  forward: bool = False) -> np.ndarray:
+    """The GF(2) core on lists of int rows, bit c for column c, walking
+    the columns below limit (all of them by default).
+
+    It is the column walk taken one row at a time, top down.  In the walk
+    a free row takes, lowest column first, the pivot row of each column
+    where it holds a one, and that pivot row is above it: the topmost
+    free row with the one.  So each row in turn clears its lowest bit
+    below limit with the pivot row held for that column, as it stood
+    when chosen, until it has no such bit or no row holds that column;
+    then it holds it.  Unless forward, each pivot row then clears its
+    ones in the pivot columns after its own, highest first, with rows
+    already reduced: the reduced form the walk leaves.
+    """
+    piv = np.full((len(members), cols), -1, dtype=np.int64)
+    walked = (1 << (cols if limit is None else limit)) - 1
+    for k, rows in enumerate(members):
+        held: dict[int, int] = {}  # lowest bit of a pivot row -> the row
+        for r, x in enumerate(rows):
+            while (low := x & -x) & walked:
+                h = held.get(low)
+                if h is None:
+                    held[low] = r
+                    break
+                x ^= rows[h]
+            rows[r] = x
+        if not forward:
+            done: list[tuple[int, int]] = []  # reduced pivot rows, later columns first
+            for low in sorted(held, reverse=True):
+                x = rows[held[low]]
+                for b, y in done:
+                    if x & b:
+                        x ^= y
+                rows[held[low]] = x
+                done.append((low, x))
+        for low, r in held.items():
+            piv[k, low.bit_length() - 1] = r
+    return piv
 
 
 def _echelon_gf2(a: np.ndarray, cols: int, limit: int | None = None) -> np.ndarray:
-    """The GF(2) core on a (words, count, rows) stack of packed rows,
-    walking the columns below limit (all of them by default).
+    """The GF(2) numpy loop on a (words, count, rows) stack of packed
+    rows, walking the columns below limit (all of them by default).
 
     Word-major order keeps each update's inner loop as long as a member
     has rows.  The core visits only live columns, those where some
@@ -366,8 +454,7 @@ def stack_pivots(members: Sequence[np.ndarray], p: int) -> list[np.ndarray]:
         for lo in range(0, len(ks), _BATCH):
             batch = ks[lo:lo + _BATCH]
             stack = Stack(len(batch), max(members[k].shape[0] for k in batch), cols, p, forward=True)
-            for i, k in enumerate(batch):
-                stack[i] = members[k]
+            stack.fill([members[k] for k in batch])
             for k, piv in zip(batch, stack.eliminate()):
                 pivots[k] = piv
     return pivots

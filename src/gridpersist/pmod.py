@@ -20,12 +20,15 @@ MAX_DIM.  Documents describing a non-commuting family of matrices are
 rejected.
 
 Entry rows have one definition, the text print_pmod writes for a
-block.  When the directive walk reaches a map block, numpy reads the
-block's rows in one call, and that reading stands only if the values
-are residues and print_pmod would write them as the same text.  Any
-other block goes to the per-row loop.  That loop also accepts tabs,
-runs of spaces, '-0' and zero-padded numbers, and it writes the message
-and line number of the block's first bad row.
+block.  When the directive walk reaches a map block, it is read in one
+pass, and that reading stands only if the values are residues and
+print_pmod would write them as the same text.  For p <= 10 an entry is
+one digit and one separator, so the pass takes the ASCII byte at every
+even offset of a block of the printed length; for other p numpy parses
+the block's words in one call.  Any other block goes to the per-row
+loop.  That loop also accepts tabs, runs of spaces, '-0' and
+zero-padded numbers, and it writes the message and line number of the
+block's first bad row.
 """
 
 from __future__ import annotations
@@ -113,13 +116,18 @@ def _entries_by_row(rows: list[tuple[int, str]], cols: int, p: int) -> np.ndarra
 
 
 def _block_entries(rows: list[tuple[int, str]], cols: int, p: int) -> np.ndarray:
-    """One block's entries: numpy's reading of its rows if print_pmod
+    """One block's entries: a one-pass reading of its rows if print_pmod
     would write those values as the same text, else the per-row loop's."""
     text = "\n".join(body for _, body in rows) + "\n"
-    try:
-        values = np.fromstring(text, dtype=np.int64, sep=" ").reshape(len(rows), cols)
-    except ValueError:  # unmatched text, or not rows x cols values
-        return _entries_by_row(rows, cols, p)
+    # for p <= 10 print_pmod writes one digit and one separator per entry
+    if p <= 10 and text.isascii() and len(text) == 2 * cols * len(rows):
+        digits = np.frombuffer(text.encode("ascii"), dtype=np.uint8)[::2]
+        values = (digits.astype(np.int64) - ord("0")).reshape(len(rows), cols)
+    else:
+        try:
+            values = np.fromstring(text, dtype=np.int64, sep=" ").reshape(len(rows), cols)
+        except ValueError:  # unmatched text, or not rows x cols values
+            return _entries_by_row(rows, cols, p)
     # _block_text assumes residues: for p = 3 it would write 5 as '5'
     if 0 <= values.min(initial=0) and values.max(initial=0) < p and _block_text(values, p) == text:
         return values

@@ -126,29 +126,34 @@ class TestRank:
             assert sum(r >= 0 for r in packed_pivots(arr)) == naive_rank(arr.tolist(), 2)
 
 
+def planted_pivots(rng, rows, cols, p):
+    """Q @ U with Q invertible and U in echelon form, and U's pivot columns,
+    which include the columns below cols where GF(2) packing splits words."""
+    edges = {c for c in (0, 62, 63, 64, 65, 127, 128) if c < cols}
+    extra = rng.choice(cols, size=min(cols, rows - len(edges)), replace=False)
+    planted = sorted(edges | {int(c) for c in extra})
+    u = np.zeros((rows, cols), dtype=np.int64)
+    k = 0
+    for c in range(cols):
+        if c in planted:
+            u[k, c] = 1
+            k += 1
+        else:
+            u[:k, c] = rng.integers(0, p, size=k)
+    q = random_invertible(rows, FieldSpec(p), rng).data
+    return (q @ u) % p, planted
+
+
 class TestPivotPrefix:
     """The pivots below column c number the rank of the first c columns."""
 
     @pytest.mark.parametrize("p", [2, 3, 65521])
     def test_planted_pivots(self, p):
-        # Q @ U with Q invertible and U in echelon form has U's pivots; the
-        # planted ones include the columns where GF(2) packing splits words
+        # Q @ U with Q invertible and U in echelon form has U's pivots
         rng = np.random.default_rng(p)
-        rows = 12
         for cols in (1, 7, 63, 64, 65, 128, 129):
-            edges = {c for c in (0, 62, 63, 64, 65, 127, 128) if c < cols}
-            extra = rng.choice(cols, size=min(cols, rows - len(edges)), replace=False)
-            planted = sorted(edges | {int(c) for c in extra})
-            u = np.zeros((rows, cols), dtype=np.int64)
-            k = 0
-            for c in range(cols):
-                if c in planted:
-                    u[k, c] = 1
-                    k += 1
-                else:
-                    u[:k, c] = rng.integers(0, p, size=k)
-            q = random_invertible(rows, FieldSpec(p), rng).data
-            a = FFMatrix(q @ u, p)
+            arr, planted = planted_pivots(rng, 12, cols, p)
+            a = FFMatrix(arr, p)
             pivots = np.flatnonzero(stack_pivots([a.data], a.p)[0] >= 0).tolist()
             assert pivots == planted
             body = a.tolist()
@@ -703,15 +708,21 @@ class TestForward:
                 for m in prefix_cuts(cols):
                     assert profile_ranks(piv, r, m) == naive_rank([row[:m] for row in body[:r]], p)
 
-    @pytest.mark.parametrize("p", [3, 65521])
+    # on GF(2) this stack, 42 members of up to 40 rows, takes the numpy loop
+    @pytest.mark.parametrize("p", [2, 3, 65521])
     def test_mixed_stack_and_dead_column_runs(self, p):
         rng = np.random.default_rng([p, 16])
-        self.check(forward_members(rng, p, 30) + dead_column_members(rng, p), p)
+        mats = forward_members(rng, p, 30) + dead_column_members(rng, p)
+        assert len(mats) * max(a.shape[0] for a in mats) > ffmat._INT_ROWS
+        self.check(mats, p)
 
-    @given(st.sampled_from([3, 65521]), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    # on GF(2) these stacks, at most 13 members of up to 11 rows, take the int rows
+    @given(st.sampled_from([2, 3, 65521]), st.integers(1, 8), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_random_stacks(self, p, count, seed):
-        self.check(forward_members(np.random.default_rng(seed), p, count), p)
+        mats = forward_members(np.random.default_rng(seed), p, count)
+        assert len(mats) * max(a.shape[0] for a in mats) <= ffmat._INT_ROWS
+        self.check(mats, p)
 
     @pytest.mark.parametrize("p", [2, 3, 65521])
     def test_callers(self, p, monkeypatch):
@@ -732,21 +743,21 @@ class TestColumnLimit:
     its row operations: walking [a | I] to a column limit leaves [E a | E]
     with E invertible."""
 
-    def check(self, a, limit, p, forward=False):
-        rows, cols = a.shape
-        stack = Stack(1, rows, cols + rows, p, limit=limit, forward=forward)
-        stack[0] = np.hstack([a, np.eye(rows, dtype=np.int64)])
-        piv = stack.eliminate()[0]
-        walked = stack.reduced()[0]
-        e = walked[:, cols:]
-        assert piv[:limit].tolist() == walked_echelon(a[:, :limit], p)[0]
-        assert (piv[limit:] < 0).all()
-        assert np.array_equal(e @ a % p, walked[:, :cols])
-        assert naive_rank(e.tolist(), p) == rows
-        if not forward:
-            assert np.array_equal(walked[:, :limit], walked_echelon(a[:, :limit], p)[1])
-        # a full walk has pivots past the limit, so the limit stopped it
-        assert (one_stack([a], p)[0][0, limit:] >= 0).any()
+    def check(self, mats, limit, p, forward=False):
+        rows, cols = mats[0].shape
+        stack = Stack(len(mats), rows, cols + rows, p, limit=limit, forward=forward)
+        for k, a in enumerate(mats):
+            stack[k] = np.hstack([a, np.eye(rows, dtype=np.int64)])
+        for a, piv, walked in zip(mats, stack.eliminate(), stack.reduced()):
+            e = walked[:, cols:]
+            assert piv[:limit].tolist() == walked_echelon(a[:, :limit], p)[0]
+            assert (piv[limit:] < 0).all()
+            assert np.array_equal(e @ a % p, walked[:, :cols])
+            assert naive_rank(e.tolist(), p) == rows
+            if not forward:
+                assert np.array_equal(walked[:, :limit], walked_echelon(a[:, :limit], p)[1])
+            # a full walk has pivots past the limit, so the limit stopped it
+            assert (one_stack([a], p)[0][0, limit:] >= 0).any()
 
     @pytest.mark.parametrize("p", [3, 65521])
     @pytest.mark.parametrize("forward", [False, True])
@@ -755,13 +766,97 @@ class TestColumnLimit:
         for rows, cols, limit in ((8, 12, 3), (20, 30, 10), (12, 70, 64), (5, 9, 0)):
             a = sparse_low_rank(rng, rows, cols, rows // 2, p)
             a[:, limit:] = rng.integers(0, p, size=(rows, cols - limit))
-            self.check(a, limit, p, forward)
+            self.check([a], limit, p, forward)
 
     @pytest.mark.parametrize("limit", [63, 64, 65])
     def test_gf2_word_edges(self, limit):
-        # 100 columns of a and 30 of I: a 130-column stack, three words
+        # 100 columns of a and rows of I: a stack of at least 130 columns,
+        # three words; one member of 30 rows takes the int rows, two of just
+        # over half the constant the numpy loop
         rng = np.random.default_rng(limit)
-        a = np.zeros((30, 100), dtype=np.int64)
-        a[:, :60] = sparse_low_rank(rng, 30, 60, 6, 2)
-        a[:, 60:] = rng.integers(0, 2, size=(30, 40))
-        self.check(a, limit, 2)
+        for count, rows in ((1, 30), (2, ffmat._INT_ROWS // 2 + 1)):
+            mats = []
+            for _ in range(count):
+                a = np.zeros((rows, 100), dtype=np.int64)
+                a[:, :60] = sparse_low_rank(rng, rows, 60, 6, 2)
+                a[:, 60:] = rng.integers(0, 2, size=(rows, 40))
+                mats.append(a)
+            for forward in (False, True):
+                self.check(mats, limit, 2, forward)
+
+
+def forward_walk(arr, limit):
+    """The GF(2) column walk to limit, free rows only: the topmost free row
+    with a one in the column becomes its pivot row, as it stands, and is
+    added to the later free rows with a one there."""
+    form = np.array(arr, dtype=np.int64) % 2
+    free = np.ones(form.shape[0], dtype=bool)
+    for c in range(limit):
+        hit = np.flatnonzero(free & (form[:, c] == 1))
+        if hit.size:
+            form[hit[1:]] ^= form[hit[0]]
+            free[hit[0]] = False
+    return form
+
+
+def gf2_members(rng, cols):
+    """0/1 members of at most cols columns: planted pivots at the word
+    edges, low rank, dense, zero, and [a | I] walked past a's columns."""
+    mats = [planted_pivots(rng, 12, cols, 2)[0], planted_pivots(rng, 40, cols, 2)[0],
+            sparse_low_rank(rng, 30, cols, 8, 2), rng.integers(0, 2, size=(20, cols)),
+            rng.integers(0, 2, size=(7, cols - 5)), np.zeros((9, cols), dtype=np.int64)]
+    width = cols // 3
+    mats.append(np.hstack([rng.integers(0, 2, size=(cols - width, width)),
+                           np.eye(cols - width, dtype=np.int64)]))
+    return [mats[k] for k in rng.permutation(len(mats))]
+
+
+class TestGf2Loops:
+    """The int rows and the numpy loop give one stack the same pivots, and
+    the same reduced form when they reduce; eliminating forward, the int
+    rows leave the free rows as the numpy loop's reduction does."""
+
+    @staticmethod
+    def both(mats, cols, limit, forward, monkeypatch):
+        results = []
+        for int_rows in (10**9, -1):
+            monkeypatch.setattr(ffmat, "_INT_ROWS", int_rows)
+            stack = Stack(len(mats), max(a.shape[0] for a in mats), cols, 2, limit=limit, forward=forward)
+            stack.fill(mats)
+            assert isinstance(stack.data, list) == (int_rows > 0)
+            results.append((stack.eliminate(), stack.reduced()))
+        (ipiv, iform), (wpiv, wform) = results
+        assert np.array_equal(ipiv, wpiv)
+        if not forward:
+            assert np.array_equal(iform, wform)
+        for a, piv, form, word_form in zip(mats, ipiv, iform, wform):
+            free = np.setdiff1d(np.arange(form.shape[0]), piv[piv >= 0])
+            assert np.array_equal(form[free], word_form[free])
+            if forward:
+                # the int rows leave every pivot row as it stood when chosen
+                rows, width = a.shape
+                assert np.array_equal(form[:rows, :width], forward_walk(a, min(limit, width)))
+        return ipiv
+
+    @pytest.mark.parametrize("cols", [63, 64, 65, 128])
+    @pytest.mark.parametrize("forward", [False, True])
+    def test_planted_stacks(self, cols, forward, monkeypatch):
+        rng = np.random.default_rng([cols, forward])
+        mats = gf2_members(rng, cols)
+        for limit in sorted(c for c in {0, 1, 62, 63, 64, 65, cols // 2, cols - 1, cols} if c <= cols):
+            piv = self.both(mats, cols, limit, forward, monkeypatch)
+            assert (piv[:, limit:] < 0).all()
+            for a, member in zip(mats, piv):
+                want = walked_echelon(a[:, :limit], 2)[0]
+                assert member[:len(want)].tolist() == want
+                assert (member[a.shape[1]:] < 0).all()
+
+    @given(st.integers(1, 2), st.integers(0, 40), st.integers(0, 140), st.integers(0, 140),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_random_stacks(self, count, rows, cols, limit, forward, seed):
+        rng = np.random.default_rng(seed)
+        mats = [sparse_low_rank(rng, rows, cols, int(rng.integers(0, 20)), 2) if k % 2
+                else rng.integers(0, 2, size=(rows, cols)) for k in range(count)]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.both(mats, cols, min(limit, cols), forward, monkeypatch)

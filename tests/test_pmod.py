@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 import gridpersist.pmod as pmod
 from gridpersist.ffmat import FieldSpec
-from gridpersist.generators import example_module, make_rng, random_module, staircase_family_module
+from gridpersist.generators import (
+    example_module,
+    make_rng,
+    random_interval_decomposable,
+    random_module,
+    staircase_family_module,
+)
 from gridpersist.grid import Grid, PersistenceModule, rank_invariant
 from gridpersist.intervals import Interval
 from gridpersist.pmod import (
@@ -424,6 +430,73 @@ class TestEntryRows:
             back = parse_pmod(print_pmod(m))
             assert (back.field, back.dims) == (m.field, m.dims)
             assert back.hmaps == m.hmaps and back.vmaps == m.vmaps
+
+
+# how a row of a single-digit block is changed: (label, edit of the row's words)
+_DIGIT_ROW_EDITS = [
+    ("tab", lambda words, p: "\t".join(words)),
+    ("double space", lambda words, p: "  ".join(words)),
+    ("commas", lambda words, p: ",".join(words)),  # the digits stay at even offsets
+    ("-0", lambda words, p: " ".join(["-0"] + words[1:])),
+    ("01", lambda words, p: " ".join(["01"] + words[1:])),
+    ("row '1 -'", lambda words, p: "1 -"),
+    ("superscript two", lambda words, p: " ".join(["\u00b2"] + words[1:])),
+    ("arabic-indic three", lambda words, p: " ".join(["\u0663"] + words[1:])),
+    ("entry p", lambda words, p: " ".join([str(p)] + words[1:])),
+    ("entry 9", lambda words, p: " ".join(["9"] + words[1:])),
+    ("short row", lambda words, p: " ".join(words[:-1])),
+    ("trailing comment", lambda words, p: " ".join(words) + " # 1 0"),
+]
+
+
+class TestSingleDigitBlocks:
+    """For p <= 10 a block is read from its bytes, a digit at every even
+    offset; any block that is not print_pmod's text for its values gets
+    the per-row loop's values or PmodError, at the row's own line."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("label,edit", _DIGIT_ROW_EDITS, ids=[e[0] for e in _DIGIT_ROW_EDITS])
+    def test_edited_row(self, p, label, edit):
+        lines, first, height, _ = _rows_doc(p, 3)
+        at = first + height // 2
+        lines[at] = edit(lines[at].split(), p)
+        text = _text(lines)
+        outcome = _outcome(text)
+        assert outcome == _row_loop_outcome(text)
+        if isinstance(outcome, str):
+            assert outcome.startswith(f"line {at + 1}: ")
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_comment_lines_inside_a_block(self, p):
+        lines, first, height, _ = _rows_doc(p, 3)
+        clean = parse_pmod(_text(lines))
+        lines[first + height // 2:first + height // 2] = ["# a comment", "", "   # another"]
+        text = _text(lines)
+        assert _outcome(text) == _row_loop_outcome(text)
+        assert parse_pmod(text).hmaps == clean.hmaps
+
+    def test_printed_blocks_are_not_parsed_by_numpy(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy parsed a single-digit block")
+
+        modules = [random_module(4, 20, FieldSpec(p), make_rng(p)) for p in (2, 3, 5, 7)]
+        monkeypatch.setattr(np, "fromstring", refuse)
+        for m in modules:
+            back = parse_pmod(print_pmod(m))
+            assert back.hmaps == m.hmaps and back.vmaps == m.vmaps
+
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 5), st.integers(0, 6), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip(self, p, n, d, sums, seed):
+        rng, field = make_rng(seed), FieldSpec(p)
+        if sums:
+            m = random_interval_decomposable(2, n, d, field, rng)[0]
+        else:
+            m = random_module(n, d, field, rng)
+        back = parse_pmod(print_pmod(m))
+        assert (back.field, back.dims) == (m.field, m.dims)
+        assert back.hmaps == m.hmaps and back.vmaps == m.vmaps
 
 
 class TestTallGrid:
