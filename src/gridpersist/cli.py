@@ -65,16 +65,17 @@ def _cannot_write(path: str, exc: OSError):
 def _check_writable(path: str | None) -> None:
     """Fail before any work, as _write_output would after it, if path
     cannot be opened for writing.  An existing file is not truncated; a
-    file made by the check is removed again."""
+    file made by the check is removed again, also where path is a link
+    to it, which stays."""
     if path is None or path == "-":
         return
-    made = not os.path.lexists(path)
+    made = not os.path.exists(path)
     try:
         open(path, "a").close()
     except OSError as exc:
         _cannot_write(path, exc)
     if made:
-        os.remove(path)
+        os.remove(os.path.realpath(path))
 
 
 def _write_output(text: str, path: str | None) -> None:

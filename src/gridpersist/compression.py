@@ -162,19 +162,18 @@ def _image_step(images: list[np.ndarray], p: int) -> tuple[list, list, np.ndarra
     Returns per sink the pivot flags of the columns of f V and the basis
     V_t = [f V[:, held] | E_F], F the rows without a pivot; and with two
     sinks the T of the top one, None with one.  With two sinks the top
-    member is [f V | 0 | I], f V padded to the wider of them: the walk
-    stops before I, which only records the row operations.
+    member is [f V | 0 | I], zero columns padding f V to the wider of
+    them, built before the stack: the walk stops before I, which only
+    records the row operations.
     """
     lim = max(fv.shape[1] for fv in images)
-    d = images[1].shape[0] if len(images) == 2 else 0
-    stack = Stack(len(images), max(fv.shape[0] for fv in images), lim + d, p, limit=lim, forward=True)
-    for k, fv in enumerate(images):
-        stack[k] = fv
-    if d:
-        x = np.zeros((d, lim + d), dtype=np.int64)
-        x[:, :images[1].shape[1]] = images[1]
-        x[:, lim:] = np.eye(d, dtype=np.int64)
-        stack[1] = x
+    members = images[:1]
+    if len(images) == 2:
+        fv = images[1]
+        d = fv.shape[0]
+        members.append(np.hstack([fv, np.zeros((d, lim - fv.shape[1]), dtype=np.int64),
+                                  np.eye(d, dtype=np.int64)]))
+    stack = Stack(members, p, limit=lim, forward=True)
     helds, bases = [], []
     for fv, piv in zip(images, stack.eliminate()):
         held = piv[:fv.shape[1]] >= 0

@@ -18,25 +18,26 @@ whole stack, so a stack of many small matrices costs about as many
 calls as one.  Pivot rows are scaled by a table of inverses, and the
 loop ends once every row of every member holds a pivot.
 
-GF(2) has two loops, chosen by the rows a stack holds in all, count x
-rows.  Up to _INT_ROWS, each row is one Python int, bit c for column c,
-and a step is a few int operations on one row; numpy's call overhead,
-tens of microseconds a step, would cost more than the arithmetic.
-Larger stacks pack rows into 64-bit words, eliminate the whole stack
-with XOR, and read the live bits of each word to find their pivot
-columns.  _INT_ROWS is where the two cross on stacks of random square
-members: the int rows win up to 256 rows in all and lose from about
-320.  On the stacks of a 2 x 12, d = 100 module the int rows take
-about 60 % of the numpy loop's time for the image chain (2 members of
-100 rows), but the numpy loop takes an eighth of theirs for the 78
-profile members of up to 200 x 100.
+A GF(2) stack packs its rows into 64-bit words, and eliminate picks one
+of two loops by the rows it holds in all, count x rows.  Up to
+_INT_ROWS each row is read out as one Python int, bit c for column c,
+and written back after the walk; a step is a few int operations on one
+row, where numpy's call overhead, tens of microseconds a step, would
+cost more.  Larger stacks are eliminated whole, with XOR, reading the
+live bits of each word to find their pivot columns.  _INT_ROWS is
+where the two cross on stacks of random square members: the int rows
+win up to 256 rows in all and lose from about 320.  On the stacks of
+a 2 x 12, d = 100 module the int rows take about 60 % of the numpy
+loop's time for the image chain (2 members of 100 rows), but the numpy
+loop takes an eighth of theirs for the 78 profile members of up to
+200 x 100.
 
 stack_pivots is the one batching policy, for mat_ranks and compression:
 matrices with one column count share a stack of up to _BATCH members,
 zero-padded only in rows, and on GF(2) packed in one call.  Padding in
 columns too measured slower where most matrices have widths of their
 own.  kernel_basis and mat_inv read a reduced form, so they eliminate a
-stack of one.
+stack of one, through _reduced.
 
 Reduction updates every row with a nonzero in the column, forward
 elimination only the free rows.  A pivot row is never chosen again, and
@@ -210,18 +211,17 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
 # members per stack in stack_pivots; bounds the scratch of one elimination
 _BATCH = 64
 
-# rows in all, count x rows, up to which a GF(2) stack is held as Python
-# int rows; larger stacks take the word-parallel numpy loop
+# rows in all, count x rows, up to which a GF(2) stack is eliminated on
+# Python int rows; larger stacks take the word-parallel numpy loop
 _INT_ROWS = 256
 
 
 class Stack:
-    """count matrices over GF(p), zero-padded to rows x cols and laid out
-    for their field's echelon core.  For p = 2 a stack of at most
-    _INT_ROWS rows in all holds one list of Python ints per member, bit c
-    of a row for column c; a larger one packs each row into
-    little-endian 64-bit words, stored word-major.  For other p the
-    entries are uint32.
+    """Matrices over GF(p) with entries in [0, p), zero-padded to the
+    tallest and the widest of them and laid out for their field's echelon
+    core: for p = 2 each row packed into little-endian 64-bit words, held
+    word-major as (words, count, rows) uint64; for other p uint32 entries,
+    (count, rows, cols).
 
     Zero rows and trailing zero columns never hold a pivot, so padding
     changes no member's pivot columns, rank or kernel.
@@ -234,42 +234,20 @@ class Stack:
 
     __slots__ = ("p", "cols", "data", "limit", "forward")
 
-    def __init__(self, count: int, rows: int, cols: int, p: int,
+    def __init__(self, members: Sequence[np.ndarray], p: int,
                  limit: int | None = None, forward: bool = False):
-        self.p, self.cols = p, cols
-        self.limit = cols if limit is None else limit
+        rows = max((a.shape[0] for a in members), default=0)
+        self.p, self.cols = p, max((a.shape[1] for a in members), default=0)
+        self.limit = self.cols if limit is None else limit
         self.forward = forward
-        if p != 2:
-            self.data = np.zeros((count, rows, cols), dtype=np.uint32)
-        elif count * rows <= _INT_ROWS:
-            self.data = [[0] * rows for _ in range(count)]
-        else:
-            self.data = np.zeros(((cols + 63) // 64, count, rows), dtype=np.uint64)
-
-    def __setitem__(self, k: int, member: np.ndarray) -> None:
-        """Store a matrix with entries in [0, p) as member k."""
-        rows, cols = member.shape
-        if self.p != 2:
-            self.data[k, :rows, :cols] = member
-        elif isinstance(self.data, list):
-            packed = np.packbits(member, axis=1, bitorder="little")
-            self.data[k][:rows] = [int.from_bytes(row, "little") for row in packed]
-        else:
-            self.fill([member], k)
-
-    def fill(self, members: Sequence[np.ndarray], start: int = 0) -> None:
-        """Store matrices with entries in [0, p) as members start, start + 1, ...;
-        a GF(2) stack of packed words packs them all in one call."""
-        if self.p != 2 or isinstance(self.data, list):
-            for k, member in enumerate(members, start):
-                self[k] = member
-            return
-        words, _, rows = self.data.shape
-        bits = np.zeros((len(members), rows, 64 * words), dtype=np.uint8)
-        for k, member in enumerate(members):
-            bits[k, :member.shape[0], :member.shape[1]] = member
-        packed = np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
-        self.data[:, start:start + len(members)] = packed.transpose(2, 0, 1)
+        width = 64 * ((self.cols + 63) // 64) if p == 2 else self.cols
+        block = np.zeros((len(members), rows, width), dtype=np.uint8 if p == 2 else np.uint32)
+        for k, a in enumerate(members):
+            block[k, :a.shape[0], :a.shape[1]] = a
+        if p == 2:
+            block = np.packbits(block, axis=2, bitorder="little").view(np.uint64)
+            block = np.ascontiguousarray(block.transpose(2, 0, 1))
+        self.data = block
 
     def eliminate(self) -> np.ndarray:
         """Bring every member to reduced row echelon form, or forward
@@ -278,33 +256,28 @@ class Stack:
         Returns a (count, cols) array: the row holding the pivot of each
         member's column, or -1 where the column has no pivot.
         """
-        if isinstance(self.data, list):
+        if self.p != 2:
+            return _echelon_gfp(self.data, self.p, self.limit, self.forward)
+        _, count, rows = self.data.shape
+        if count * rows <= _INT_ROWS:
             return _echelon_ints(self.data, self.cols, self.limit, self.forward)
-        if self.p == 2:
-            return _echelon_gf2(self.data, self.cols, self.limit)
-        return _echelon_gfp(self.data, self.p, self.limit, self.forward)
+        return _echelon_gf2(self.data, self.cols, self.limit)
 
     def reduced(self, start: int = 0) -> np.ndarray:
         """Columns start: of every member after eliminate, as an int64 array."""
         if self.p != 2:
             return self.data[:, :, start:].astype(np.int64)
-        if isinstance(self.data, list):
-            width = (self.cols - start + 7) // 8
-            body = b"".join((x >> start).to_bytes(width, "little") for rows in self.data for x in rows)
-            shape = (len(self.data), len(self.data[0]) if self.data else 0, width)
-            rows, skip = np.frombuffer(body, dtype=np.uint8).reshape(shape), 0
-        else:
-            w = start >> 6
-            rows = np.ascontiguousarray(self.data[w:].transpose(1, 2, 0)).view(np.uint8)
-            skip = start - 64 * w
+        w = start >> 6
+        rows = np.ascontiguousarray(self.data[w:].transpose(1, 2, 0)).view(np.uint8)
+        skip = start - 64 * w
         bits = np.unpackbits(rows, axis=2, count=self.cols - start + skip, bitorder="little")
         return bits[:, :, skip:].astype(np.int64)
 
 
-def _echelon_ints(members: list[list[int]], cols: int, limit: int | None = None,
-                  forward: bool = False) -> np.ndarray:
-    """The GF(2) core on lists of int rows, bit c for column c, walking
-    the columns below limit (all of them by default).
+def _echelon_ints(a: np.ndarray, cols: int, limit: int, forward: bool) -> np.ndarray:
+    """The GF(2) core on Python ints, for a (words, count, rows) stack of
+    packed rows: it reads each row out as one int, bit c for column c,
+    walks the columns below limit and writes the rows back.
 
     It is the column walk taken one row at a time, top down.  In the walk
     a free row takes, lowest column first, the pivot row of each column
@@ -316,8 +289,15 @@ def _echelon_ints(members: list[list[int]], cols: int, limit: int | None = None,
     ones in the pivot columns after its own, highest first, with rows
     already reduced: the reduced form the walk leaves.
     """
-    piv = np.full((len(members), cols), -1, dtype=np.int64)
-    walked = (1 << (cols if limit is None else limit)) - 1
+    words, count, height = a.shape
+    piv = np.full((count, cols), -1, dtype=np.int64)
+    if not limit:  # nothing to walk, and no words at all when cols = 0
+        return piv
+    step = 8 * words
+    body = a.transpose(1, 2, 0).tobytes()
+    flat = [int.from_bytes(body[i:i + step], "little") for i in range(0, len(body), step)]
+    members = [flat[k * height:(k + 1) * height] for k in range(count)]
+    walked = (1 << limit) - 1
     for k, rows in enumerate(members):
         held: dict[int, int] = {}  # lowest bit of a pivot row -> the row
         for r, x in enumerate(rows):
@@ -339,12 +319,14 @@ def _echelon_ints(members: list[list[int]], cols: int, limit: int | None = None,
                 done.append((low, x))
         for low, r in held.items():
             piv[k, low.bit_length() - 1] = r
+    body = b"".join(x.to_bytes(step, "little") for rows in members for x in rows)
+    a[...] = np.frombuffer(body, dtype=np.uint64).reshape(count, height, words).transpose(2, 0, 1)
     return piv
 
 
-def _echelon_gf2(a: np.ndarray, cols: int, limit: int | None = None) -> np.ndarray:
+def _echelon_gf2(a: np.ndarray, cols: int, limit: int) -> np.ndarray:
     """The GF(2) numpy loop on a (words, count, rows) stack of packed
-    rows, walking the columns below limit (all of them by default).
+    rows, walking the columns below limit.
 
     Word-major order keeps each update's inner loop as long as a member
     has rows.  The core visits only live columns, those where some
@@ -354,7 +336,6 @@ def _echelon_gf2(a: np.ndarray, cols: int, limit: int | None = None) -> np.ndarr
     column with a pivot.
     """
     words, count, rows = a.shape
-    limit = cols if limit is None else limit
     piv = np.full((count, cols), -1, dtype=np.int64)
     free = np.ones((count, rows), dtype=bool)
     members = np.arange(count)
@@ -453,8 +434,7 @@ def stack_pivots(members: Sequence[np.ndarray], p: int) -> list[np.ndarray]:
     for cols, ks in groups.items():
         for lo in range(0, len(ks), _BATCH):
             batch = ks[lo:lo + _BATCH]
-            stack = Stack(len(batch), max(members[k].shape[0] for k in batch), cols, p, forward=True)
-            stack.fill([members[k] for k in batch])
+            stack = Stack([members[k] for k in batch], p, forward=True)
             for k, piv in zip(batch, stack.eliminate()):
                 pivots[k] = piv
     return pivots
@@ -483,16 +463,20 @@ def _kernel(form: np.ndarray, piv: np.ndarray, p: int) -> FFMatrix:
     return FFMatrix._wrap(basis, p)
 
 
+def _reduced(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced row echelon form of one matrix, and its pivot rows."""
+    stack = Stack([a], p)
+    piv = stack.eliminate()[0]
+    return stack.reduced()[0], piv
+
+
 def kernel_basis(a: FFMatrix) -> FFMatrix:
     """A cols x k matrix whose columns form a basis of ker(a).
 
     Columns follow the free columns they belong to, so the result is
     deterministic; a @ kernel_basis(a) is zero and k = cols - rank(a).
     """
-    stack = Stack(1, a.rows, a.cols, a.p)
-    stack[0] = a.data
-    piv = stack.eliminate()[0]
-    return _kernel(stack.reduced()[0], piv, a.p)
+    return _kernel(*_reduced(a.data, a.p), a.p)
 
 
 def mat_inv(a: FFMatrix) -> FFMatrix:
@@ -505,12 +489,10 @@ def mat_inv(a: FFMatrix) -> FFMatrix:
     if a.rows != a.cols:
         raise ShapeError(f"cannot invert non-square matrix {a.shape}")
     n, p = a.rows, a.p
-    stack = Stack(1, n, 2 * n, p)
-    stack[0] = np.hstack([a.data, np.eye(n, dtype=np.int64)])
-    piv = stack.eliminate()[0, :n]
-    if (piv < 0).any():
+    form, piv = _reduced(np.hstack([a.data, np.eye(n, dtype=np.int64)]), p)
+    if (piv[:n] < 0).any():
         raise ShapeError("matrix is singular")
-    return FFMatrix._wrap(stack.reduced(n)[0][piv], p)
+    return FFMatrix._wrap(form[piv[:n], n:], p)
 
 
 def hstack(a: FFMatrix, b: FFMatrix) -> FFMatrix:

@@ -52,7 +52,9 @@ class PmodError(ValueError):
 
 
 def _logical_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    r"""Numbered nonblank lines without comments.  Only '\n' ends a line:
+    str.splitlines also ends one, even in a comment, at '\f', '\u2028' and others."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         body = raw.split("#", 1)[0].strip()
         if body:
             yield lineno, body

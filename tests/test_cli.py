@@ -320,6 +320,20 @@ class TestOutputCheckedFirst:
             assert code == 2 and err.startswith(f"error: {bad}: ")
         assert kept.read_text() == "old\n" and not fresh.exists()
 
+    def test_failed_command_through_a_dangling_link(self, tmp_path, capsys):
+        # the check makes the link's target and removes it again; the link stays
+        bad = tmp_path / "bad.pmod"
+        bad.write_bytes(b"\xff\xfe")
+        link, target = tmp_path / "link", tmp_path / "target.txt"
+        link.symlink_to(target)
+        code, out, err = run_cli(capsys, "approx", str(bad), "-o", str(link))
+        assert code == 2 and out == "" and err.startswith(f"error: cannot read {bad}: ")
+        assert not target.exists() and link.is_symlink() and os.readlink(link) == str(target)
+        # a command that succeeds writes through the link
+        code, want, _ = run_cli(capsys, "gen", "example")
+        assert run_cli(capsys, "gen", "example", "-o", str(link))[:2] == (code, "")
+        assert target.read_text() == want and link.is_symlink()
+
     def test_existing_output_is_replaced_on_success(self, example_file, tmp_path, capsys, monkeypatch):
         # verify is covered by TestVerifyOutput; bench times repeat only from a restarted clock
         dest = tmp_path / "out.txt"

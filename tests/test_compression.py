@@ -186,8 +186,7 @@ def reduce_with_identity(images, p):
     """Pivot columns of images, and the reduced I block of [images | I]
     with its rows in pivot-column order: the L with L V = [I ; 0]."""
     d, w = images.shape
-    stack = Stack(1, d, w + d, p)
-    stack[0] = np.hstack([images, np.eye(d, dtype=np.int64)])
+    stack = Stack([np.hstack([images, np.eye(d, dtype=np.int64)])], p)
     piv = stack.eliminate()[0, :w + d]
     return np.flatnonzero(piv[:w] >= 0).tolist(), FFMatrix(stack.reduced(w)[0][piv[piv >= 0]], p)
 

@@ -46,9 +46,7 @@ def rand_mat(rng, rows, cols, p):
 
 def packed_pivots(arr):
     """Pivot rows of one 0/1 matrix by the bit-packed GF(2) core."""
-    stack = Stack(1, *arr.shape, 2)
-    stack[0] = arr
-    return stack.eliminate()[0].tolist()
+    return Stack([arr], 2).eliminate()[0].tolist()
 
 
 def generic_reduced(arr, p):
@@ -253,9 +251,7 @@ class TestRankProfile:
         rows, cols = shape
         rng = np.random.default_rng([p, rows, cols])
         for a in (sparse_low_rank(rng, rows, cols, 12, p), rng.integers(0, p, size=(rows, 20))):
-            stack = Stack(1, *a.shape, p)
-            stack[0] = a
-            piv = stack.eliminate()[0].tolist()
+            piv = Stack([a], p).eliminate()[0].tolist()
             body = a.tolist()
             for r in prefix_cuts(a.shape[0]):
                 for m in prefix_cuts(a.shape[1]):
@@ -268,9 +264,8 @@ class TestRankProfile:
         for rows, cols in ((63, 65), (64, 129), (5, 128), (129, 9)):
             mats.append(sparse_low_rank(rng, rows, cols, 10, p))
         mats.append(rng.integers(0, p, size=(12, 64)))
-        stack = Stack(len(mats), 131, 130, p)
-        for k, a in enumerate(mats):
-            stack[k] = a
+        # a zero member pads every other one to 131 x 130
+        stack = Stack(mats + [np.zeros((131, 130), dtype=np.int64)], p)
         for a, piv in zip(mats, stack.eliminate().tolist()):
             body = a.tolist()
             for r in prefix_cuts(a.shape[0]):
@@ -281,9 +276,7 @@ class TestRankProfile:
     @pytest.mark.parametrize("p", [3, 65521])
     def test_dead_column_runs(self, p):
         mats = dead_column_members(np.random.default_rng(p), p)
-        stack = Stack(len(mats), max(a.shape[0] for a in mats), max(a.shape[1] for a in mats), p)
-        for k, a in enumerate(mats):
-            stack[k] = a
+        stack = Stack(mats, p)
         for a, piv, form in zip(mats, stack.eliminate(), stack.reduced()):
             rows, cols = a.shape
             want_piv, want_form = walked_echelon(a, p)
@@ -329,10 +322,9 @@ class TestStack:
                 rank = int(rng.integers(0, min(rows, width) + 1))
                 mats.append(mat_mul(rand_mat(rng, rows, rank, p), rand_mat(rng, rank, width, p)))
         mats = [mats[k] for k in rng.permutation(len(mats))]
-        # padded beyond every member in both directions
-        stack = Stack(len(mats), 23, cols + 3, p)
-        for k, a in enumerate(mats):
-            stack[k] = a.data
+        # a zero member pads every other one beyond its rows and columns
+        stack = Stack([a.data for a in mats] + [np.zeros((23, cols + 3), dtype=np.int64)], p)
+        assert stack.cols == cols + 3
         piv = stack.eliminate()
         for k, a in enumerate(mats):
             pivots = np.flatnonzero(piv[k] >= 0).tolist()
@@ -340,6 +332,31 @@ class TestStack:
             assert len(pivots) == naive_rank(a.tolist(), p)
             assert piv[k].max(initial=-1) < a.rows
         assert mat_ranks(mats) == [int(np.count_nonzero(stack_pivots([a.data], p)[0] >= 0)) for a in mats]
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    @pytest.mark.parametrize("shapes", [[(0, 3), (0, 70), (0, 0)], [(5, 0), (0, 0), (2, 0)]])
+    def test_members_without_rows_or_columns(self, p, shapes):
+        mats = [np.zeros(shape, dtype=np.int64) for shape in shapes]
+        rows, cols = (max(dims) for dims in zip(*shapes))
+        stack = Stack(mats, p)
+        assert stack.cols == cols
+        piv = stack.eliminate()
+        assert piv.shape == (len(mats), cols) and (piv < 0).all()
+        form = stack.reduced()
+        assert form.shape == (len(mats), rows, cols) and not form.any()
+        assert [piv.tolist() for piv in stack_pivots(mats, p)] == [[-1] * c for _, c in shapes]
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    def test_widest_and_tallest_member_set_the_layout(self, p):
+        mats = [np.ones((3, 5), dtype=np.int64), np.ones((7, 2), dtype=np.int64),
+                np.ones((1, 130), dtype=np.int64)]
+        stack = Stack(mats, p)
+        assert stack.cols == stack.limit == 130
+        if p == 2:
+            assert stack.data.shape == (3, 3, 7) and stack.data.dtype == np.uint64
+        else:
+            assert stack.data.shape == (3, 7, 130) and stack.data.dtype == np.uint32
+        assert Stack(mats, p, limit=4).limit == 4
 
     @pytest.mark.parametrize("p", [2, 65521])
     def test_batches_split_anywhere(self, p, monkeypatch):
@@ -362,6 +379,15 @@ def count_eliminations(monkeypatch):
         return piv
     monkeypatch.setattr(Stack, "eliminate", counted)
     return calls
+
+
+def record_loops(monkeypatch):
+    """A list that gains the name of each echelon loop a stack runs."""
+    ran = []
+    for name in ("_echelon_ints", "_echelon_gf2", "_echelon_gfp"):
+        loop = getattr(ffmat, name)
+        monkeypatch.setattr(ffmat, name, lambda *args, loop=loop, name=name: ran.append(name) or loop(*args))
+    return ran
 
 
 class TestStackPivots:
@@ -412,9 +438,7 @@ class TestModulus65521:
     def test_reduced_forms_match_naive(self):
         p = self.P
         mats = self.edge_matrices(np.random.default_rng(65521))
-        stack = Stack(len(mats), 12, 12, p)
-        for k, a in enumerate(mats):
-            stack[k] = a
+        stack = Stack(mats + [np.zeros((12, 12), dtype=np.int64)], p)
         for a, piv, form in zip(mats, stack.eliminate(), stack.reduced()):
             rows, cols = a.shape
             want = naive_rref(a.tolist(), p)
@@ -563,6 +587,34 @@ class TestKernel:
         assert packed == generic
 
 
+class TestReducedHelper:
+    """kernel_basis and mat_inv read one reduced form, from either GF(2)
+    loop: a matrix of at most _INT_ROWS rows takes the int rows."""
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_kernel_and_inverse_on_both_sides_of_int_rows(self, side, monkeypatch):
+        ran = record_loops(monkeypatch)
+        want = "_echelon_gf2" if side else "_echelon_ints"
+        n = ffmat._INT_ROWS + side
+        rng = np.random.default_rng(n)
+        low_rank = mat_mul(rand_mat(rng, n, 40, 2), rand_mat(rng, 40, 90, 2))
+        for a in (rand_mat(rng, n, 300, 2), low_rank):
+            ran.clear()
+            k = kernel_basis(a)
+            assert ran == [want]
+            assert k == generic_kernel(a)
+            assert k.cols == a.cols - naive_rank(a.tolist(), 2) and not mat_mul(a, k).data.any()
+        a = random_invertible(n, GF2, rng)
+        ran.clear()
+        inv = mat_inv(a)
+        assert ran == [want]
+        assert inv == generic_inverse(a) and mat_mul(inv, a) == FFMatrix.identity(n, 2)
+        singular = a.data.copy()
+        singular[:, n // 2] = 0
+        with pytest.raises(ShapeError):
+            mat_inv(FFMatrix(singular, 2))
+
+
 class TestStacking:
     def test_hstack_vstack_shapes(self):
         a = FFMatrix([[1, 2], [0, 1]], 3)
@@ -667,9 +719,7 @@ class TestImmutability:
 
 def one_stack(mats, p, **kwargs):
     """The matrices in one stack, eliminated: their pivot rows and the stack."""
-    stack = Stack(len(mats), max(a.shape[0] for a in mats), max(a.shape[1] for a in mats), p, **kwargs)
-    for k, a in enumerate(mats):
-        stack[k] = a
+    stack = Stack(mats, p, **kwargs)
     return stack.eliminate(), stack
 
 
@@ -745,9 +795,8 @@ class TestColumnLimit:
 
     def check(self, mats, limit, p, forward=False):
         rows, cols = mats[0].shape
-        stack = Stack(len(mats), rows, cols + rows, p, limit=limit, forward=forward)
-        for k, a in enumerate(mats):
-            stack[k] = np.hstack([a, np.eye(rows, dtype=np.int64)])
+        stack = Stack([np.hstack([a, np.eye(rows, dtype=np.int64)]) for a in mats], p,
+                      limit=limit, forward=forward)
         for a, piv, walked in zip(mats, stack.eliminate(), stack.reduced()):
             e = walked[:, cols:]
             assert piv[:limit].tolist() == walked_echelon(a[:, :limit], p)[0]
@@ -817,15 +866,15 @@ class TestGf2Loops:
     rows leave the free rows as the numpy loop's reduction does."""
 
     @staticmethod
-    def both(mats, cols, limit, forward, monkeypatch):
-        results = []
-        for int_rows in (10**9, -1):
-            monkeypatch.setattr(ffmat, "_INT_ROWS", int_rows)
-            stack = Stack(len(mats), max(a.shape[0] for a in mats), cols, 2, limit=limit, forward=forward)
-            stack.fill(mats)
-            assert isinstance(stack.data, list) == (int_rows > 0)
-            results.append((stack.eliminate(), stack.reduced()))
-        (ipiv, iform), (wpiv, wform) = results
+    def both(mats, limit, forward):
+        # each loop on its own copy of one packed block
+        stack = Stack(mats, 2, limit=limit, forward=forward)
+        block = stack.data.copy()
+        ipiv = ffmat._echelon_ints(stack.data, stack.cols, limit, forward)
+        iform = stack.reduced()
+        stack.data = block
+        wpiv = ffmat._echelon_gf2(block, stack.cols, limit)
+        wform = stack.reduced()
         assert np.array_equal(ipiv, wpiv)
         if not forward:
             assert np.array_equal(iform, wform)
@@ -838,13 +887,33 @@ class TestGf2Loops:
                 assert np.array_equal(form[:rows, :width], forward_walk(a, min(limit, width)))
         return ipiv
 
+    def test_eliminate_picks_the_loop_by_rows_in_all(self, monkeypatch):
+        # a GF(2) stack of at most _INT_ROWS rows in all takes the int rows,
+        # a larger one the numpy loop; both hold the one packed layout
+        ran = record_loops(monkeypatch)
+        half = ffmat._INT_ROWS // 2
+        for count, rows, want in ((1, ffmat._INT_ROWS, "_echelon_ints"), (1, ffmat._INT_ROWS + 1, "_echelon_gf2"),
+                                  (2, half, "_echelon_ints"), (2, half + 1, "_echelon_gf2"),
+                                  (ffmat._INT_ROWS, 1, "_echelon_ints"), (ffmat._INT_ROWS + 1, 1, "_echelon_gf2")):
+            rng = np.random.default_rng([count, rows])
+            mats = [rng.integers(0, 2, size=(rows, 70)) for _ in range(count)]
+            stack = Stack(mats, 2)
+            assert stack.data.shape == (2, count, rows) and stack.data.dtype == np.uint64
+            ran.clear()
+            piv = stack.eliminate()
+            assert ran == [want]
+            assert [row.tolist() for row in piv] == [packed_pivots(a) for a in mats]
+            ran.clear()
+            Stack(mats, 3).eliminate()
+            assert ran == ["_echelon_gfp"]
+
     @pytest.mark.parametrize("cols", [63, 64, 65, 128])
     @pytest.mark.parametrize("forward", [False, True])
-    def test_planted_stacks(self, cols, forward, monkeypatch):
+    def test_planted_stacks(self, cols, forward):
         rng = np.random.default_rng([cols, forward])
         mats = gf2_members(rng, cols)
         for limit in sorted(c for c in {0, 1, 62, 63, 64, 65, cols // 2, cols - 1, cols} if c <= cols):
-            piv = self.both(mats, cols, limit, forward, monkeypatch)
+            piv = self.both(mats, limit, forward)
             assert (piv[:, limit:] < 0).all()
             for a, member in zip(mats, piv):
                 want = walked_echelon(a[:, :limit], 2)[0]
@@ -858,5 +927,4 @@ class TestGf2Loops:
         rng = np.random.default_rng(seed)
         mats = [sparse_low_rank(rng, rows, cols, int(rng.integers(0, 20)), 2) if k % 2
                 else rng.integers(0, 2, size=(rows, cols)) for k in range(count)]
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            self.both(mats, cols, min(limit, cols), forward, monkeypatch)
+        self.both(mats, min(limit, cols), forward)

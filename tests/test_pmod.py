@@ -192,6 +192,24 @@ class TestRejection:
             parse_pmod(doc)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_comments_run_to_the_newline(self, sep):
+        # only '\n' ends a line: a separator that str.splitlines breaks at
+        # leaves the rest of its comment a comment
+        one = "PMOD 1\nfield 2\ngrid 1 1\n# " + sep + " dim 1 1 1\nEND\n"
+        with pytest.raises(PmodError, match="missing dimension"):
+            parse_pmod(one)
+        with pytest.raises(PmodError) as err:
+            parse_pmod("PMOD 1\n# note" + sep + "field 3\nfield 2\ngrid 2\n")
+        assert str(err.value) == "line 4: expected 'grid <m> <n>'"
+        # a later error keeps the line number of its own line
+        with pytest.raises(PmodError) as err:
+            parse_pmod(GOOD.replace("dim 2 1 1", "dim 2 1 1 # x" + sep + "y").replace("dim 2 2 1", "dim 2 2"))
+        assert err.value.line == 7
+        trailing = GOOD + "# x" + sep + "junk\n"
+        assert print_pmod(parse_pmod(trailing)) == GOOD
+        assert print_pmod(parse_pmod(GOOD.replace("\n", "\r\n"))) == GOOD
+
     def test_noncommuting_square_names_square(self):
         bad = _replace_line(GOOD, "map h 2 1\n1", "map h 2 1\n0")
         with pytest.raises(PmodError, match=r"square at \(1, 1\)"):
