@@ -44,9 +44,8 @@ and one per sink of row 2, by three exact identities:
   A forward elimination leaves f V[P, Q] invertible, so
   V_t = [f V[:, Q] | E_F], E_F the unit columns of the rows F, is a
   basis of the same kind for t: the images are nested, and E_F
-  completes them.  On row 2 the walk carries an I block after f V and
-  stops before it.  That block T holds the row operations; with its
-  rows P first, in pivot-column order, then F,
+  completes them.  Let T be the row operations of the walk on row 2,
+  with its rows P first, in pivot-column order, then F.  Then
   T V_t = [[R, 0], [0, I]] with R upper triangular and invertible: a
   pivot row is zero in the pivot columns before its own, a free row in
   all of them, and only pivot rows are added to rows.  With V_c the
@@ -57,7 +56,10 @@ and one per sink of row 2, by three exact identities:
 
   Any invertible upper triangular D in place of T V_t would do the same,
   as (D y)[c:] = D[c:, c:] y[c:], so R need not be I: a forward
-  elimination leaves it as it is.
+  elimination leaves it as it is.  T is never formed: on row 2 the walk
+  carries the vertical arrow M((1, j) -> t) after f V and stops before
+  it, and the walked arrow, its rows read in that order, is
+  T M((1, j) -> t).
 * Rank profile.  Both echelon cores pivot on the topmost free row with a
   nonzero and change a row only by multiples of pivot rows.  A free row
   above the pivot row is zero in its column and takes nothing from it,
@@ -65,8 +67,9 @@ and one per sink of row 2, by three exact identities:
   rank Y[:r, :m] is the number of columns c < m whose pivot row is
   above r.
 * No kernels.  Take s = (1, j), t = (2, j), V1 the basis of s,
-  U = T M(s -> t) V1, H = M(s -> t1) V1, c = rank A and
-  c1 = rank M(s1 -> s), so V1[:, :c1] spans im M(s1 -> s).  B has the
+  U = (T M(s -> t)) V1 from the walked arrow, H = M(s -> t1) V1,
+  c = rank A and c1 = rank M(s1 -> s), so V1[:, :c1] spans
+  im M(s1 -> s).  B has the
   image of M(s -> t) V1[:, :c1], so rank [A | B] = c + rank U[c:, :c1].
   W = B ker C has the image of M(s -> t) V1[:, :c1] ker H[:, :c1], and
   rank Y ker H = rank [H ; Y] - rank H, so rank [A | W] is
@@ -83,9 +86,10 @@ ceil(n (n + 1) / (2 _BATCH)) eliminations, not n.  The members are held
 as uint16, which holds every residue since p < 2^16.
 
 Every matrix multiplied takes one arrow at a time: f is the horizontal
-arrow into t, M(s -> t) is the vertical arrow at s, and H is chained
-along row 1, M(s -> (1, d1)) V1 = h M(s -> (1, d1 - 1)) V1 with h the
-arrow (1, d1 - 1) -> (1, d1), starting from V1.
+arrow into t, T M(s -> t) is the vertical arrow at s as the walk leaves
+it, and H is chained along row 1, M(s -> (1, d1)) V1 =
+h M(s -> (1, d1 - 1)) V1 with h the arrow (1, d1 - 1) -> (1, d1),
+starting from V1.
 """
 
 from __future__ import annotations
@@ -155,24 +159,21 @@ def _profile(piv: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _image_step(images: list[np.ndarray], p: int) -> tuple[list, list, np.ndarray | None]:
+def _image_step(images: list[np.ndarray], block: np.ndarray, p: int) -> tuple[list, list, np.ndarray]:
     """One column of the image chain, from the images f V of its sinks,
     bottom row first, in one forward elimination.
 
-    Returns per sink the pivot flags of the columns of f V and the basis
-    V_t = [f V[:, held] | E_F], F the rows without a pivot; and with two
-    sinks the T of the top one, None with one.  With two sinks the top
-    member is [f V | 0 | I], zero columns padding f V to the wider of
-    them, built before the stack: the walk stops before I, which only
-    records the row operations.
+    The top member is [f V | 0 | block], zero columns padding f V to the
+    widest image, built before the stack: the walk stops before block,
+    which only takes the top member's row operations.  Returns per sink
+    the pivot flags of the columns of f V and the basis
+    V_t = [f V[:, held] | E_F], F the rows without a pivot; and the
+    walked block with the top member's pivot rows first, in pivot-column
+    order, then F.  That is T block, T the top sink's transform.
     """
     lim = max(fv.shape[1] for fv in images)
-    members = images[:1]
-    if len(images) == 2:
-        fv = images[1]
-        d = fv.shape[0]
-        members.append(np.hstack([fv, np.zeros((d, lim - fv.shape[1]), dtype=np.int64),
-                                  np.eye(d, dtype=np.int64)]))
+    *members, fv = images
+    members.append(np.hstack([fv, np.zeros((fv.shape[0], lim - fv.shape[1]), dtype=np.int64), block]))
     stack = Stack(members, p, limit=lim, forward=True)
     helds, bases = [], []
     for fv, piv in zip(images, stack.eliminate()):
@@ -182,20 +183,17 @@ def _image_step(images: list[np.ndarray], p: int) -> tuple[list, list, np.ndarra
         free[pivrows] = False
         helds.append(held)
         bases.append(np.hstack([fv[:, held], np.eye(fv.shape[0], dtype=np.int64)[:, free]]))
-    if len(images) == 1:
-        return helds, bases, None
-    # the walked I block, pivot rows first in pivot-column order
-    return helds, bases, stack.reduced(lim)[1][np.concatenate((pivrows, np.flatnonzero(free)))]
+    return helds, bases, stack.reduced()[-1][np.concatenate((pivrows, np.flatnonzero(free))), lim:]
 
 
-def _sink_members(module: PersistenceModule, j: int, tmat: FFMatrix, v1: FFMatrix) -> list[np.ndarray]:
+def _sink_members(module: PersistenceModule, j: int, tm: FFMatrix, v1: FFMatrix) -> list[np.ndarray]:
     """The profile members of the sink t = (2, j), as uint16.
 
-    tmat is the T of t and v1 the basis V of s = (1, j).  With
-    U = T M(s -> t) V1 and H = M(s -> (1, d1)) V1, the members are
-    rev(U) and [H ; rev(U)] for each d1 > j.
+    tm is T M(s -> t), the walked vertical arrow of t, and v1 the basis V
+    of s = (1, j).  With U = T M(s -> t) V1 and H = M(s -> (1, d1)) V1,
+    the members are rev(U) and [H ; rev(U)] for each d1 > j.
     """
-    rev = mat_mul(tmat, mat_mul(module.vmaps[(1, j)], v1)).data[::-1]
+    rev = mat_mul(tm, v1).data[::-1]
     members, h = [rev.astype(np.uint16)], v1
     for d1 in range(j + 1, module.grid.n + 1):
         h = mat_mul(module.hmaps[(1, d1 - 1)], h)
@@ -229,13 +227,15 @@ class _GroupedRanks:
                 else np.zeros((dims[t], 0), dtype=np.int64)
                 for i, t in zip(bases, sinks)
             ]
-            helds, new, tmat = _image_step(images, p)
+            # the top sink's vertical arrow, or no columns on a single row
+            arrow = module.vmaps[(1, j)].data if g.m == 2 else np.zeros((dims[sinks[0]], 0), dtype=np.int64)
+            helds, new, tm = _image_step(images, arrow, p)
             for i, t, held, v in zip(bases, sinks, helds, new):
                 prefix = np.concatenate(([0], np.cumsum(held)))
                 self.rect[t] = prefix[self.rect.get((i, j - 1), [0])].tolist() + [dims[t]]
                 bases[i] = FFMatrix._wrap(v, p)
-            if tmat is not None:
-                members += _sink_members(module, j, FFMatrix._wrap(tmat, p), bases[1])
+            if g.m == 2:
+                members += _sink_members(module, j, FFMatrix._wrap(tm, p), bases[1])
         if g.m == 2:
             pivots = iter(stack_pivots(members, p))
             for j in range(1, g.n + 1):

@@ -263,15 +263,12 @@ class Stack:
             return _echelon_ints(self.data, self.cols, self.limit, self.forward)
         return _echelon_gf2(self.data, self.cols, self.limit)
 
-    def reduced(self, start: int = 0) -> np.ndarray:
-        """Columns start: of every member after eliminate, as an int64 array."""
+    def reduced(self) -> np.ndarray:
+        """Every member after eliminate, as a (count, rows, cols) int64 array."""
         if self.p != 2:
-            return self.data[:, :, start:].astype(np.int64)
-        w = start >> 6
-        rows = np.ascontiguousarray(self.data[w:].transpose(1, 2, 0)).view(np.uint8)
-        skip = start - 64 * w
-        bits = np.unpackbits(rows, axis=2, count=self.cols - start + skip, bitorder="little")
-        return bits[:, :, skip:].astype(np.int64)
+            return self.data.astype(np.int64)
+        rows = np.ascontiguousarray(self.data.transpose(1, 2, 0)).view(np.uint8)
+        return np.unpackbits(rows, axis=2, count=self.cols, bitorder="little").astype(np.int64)
 
 
 def _echelon_ints(a: np.ndarray, cols: int, limit: int, forward: bool) -> np.ndarray:

@@ -197,6 +197,17 @@ class TestVerify:
         assert code == 3
         assert out.startswith("MISMATCH rank at ") and out.count("\n") == 1
 
+    def test_compression_off_by_one_exits_3(self, example_file, capsys, monkeypatch):
+        # the ranks verify checks come from the path maps, not from the image
+        # chain, so one cross-row rectangle value off by one shows up there
+        arrow = Interval(1, 2, ((2, 3), (2, 3)))
+        assert compression.classify_ss(arrow).kind == compression.ARROW
+        value = compression._GroupedRanks.value
+        monkeypatch.setattr(compression._GroupedRanks, "value", lambda self, I: value(self, I) + (I == arrow))
+        code, out, _ = run_cli(capsys, "verify", example_file)
+        assert code == 3
+        assert out == "MISMATCH rank at (1, 2) -> (2, 3): module 1, approximation 2\n"
+
     def test_dimension_mismatch_is_a_rank_mismatch(self, example_file, capsys, monkeypatch):
         # a one-vertex interval changes only the rank along (v, v), which is dim M_v
         point = Interval(1, 1, ((2, 2),))

@@ -188,7 +188,7 @@ def reduce_with_identity(images, p):
     d, w = images.shape
     stack = Stack([np.hstack([images, np.eye(d, dtype=np.int64)])], p)
     piv = stack.eliminate()[0, :w + d]
-    return np.flatnonzero(piv[:w] >= 0).tolist(), FFMatrix(stack.reduced(w)[0][piv[piv >= 0]], p)
+    return np.flatnonzero(piv[:w] >= 0).tolist(), FFMatrix(stack.reduced()[0][piv[piv >= 0], w:], p)
 
 
 class TestCoordinateChange:
