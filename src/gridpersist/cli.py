@@ -25,7 +25,7 @@ from .generators import (
     staircase_family_module,
 )
 from .grid import dimension_vector, format_dimvec, rank_invariant
-from .intervals import enumerate_intervals
+from .intervals import count_intervals, enumerate_intervals
 from .mobius import mobius_invert
 from . import pmod
 from .pmod import PmodError, format_interval_function, format_signed_sum, print_pmod
@@ -111,9 +111,9 @@ def _read_module(path: str):
 
 
 def cmd_intervals(args) -> tuple[int, str]:
-    intervals = enumerate_intervals(args.m, args.n)
-    lines = [str(len(intervals))] if args.count else [I.to_string() for I in intervals]
-    return 0, "".join(line + "\n" for line in lines)
+    if args.count:
+        return 0, f"{count_intervals(args.m, args.n)}\n"
+    return 0, "".join(I.to_string() + "\n" for I in enumerate_intervals(args.m, args.n))
 
 
 def cmd_compress(args) -> tuple[int, str]:

@@ -7,31 +7,30 @@ interval module inside the compressed M; for grids of height at most
 two it reduces to ranks of matrices built from the arrows alone, without
 a table of path maps.
 
-Interval shapes over a 2 x n grid, writing row 1 for the bottom row and
-(b_i, d_i) for the column span of row i:
+Take an interval over both rows of a 2 x n grid, writing row 1 for the
+bottom row and (b_i, d_i) for the column span of row i, so b_2 <= b_1
+and d_2 <= d_1.  Its corners are s1 = (1, b_1), s2 = (2, b_2),
+t1 = (1, d_1) and t2 = (2, d_2).  With A = M(s2 -> t2), B = M(s1 -> t2),
+C = M(s1 -> t1) and W = B ker C, its compressed multiplicity is
 
-* a rectangle (single row, or equal spans) has one source and one sink;
-* b_2 < b_1, d_2 = d_1: sources s1 = (1, b_1), s2 = (2, b_2) and a
-  single sink t2 = (2, d_2);
-* b_2 = b_1, d_2 < d_1: a single source s1 = (1, b_1) and sinks
-  t1 = (1, d_1), t2 = (2, d_2);
-* b_2 < b_1, d_2 < d_1: sources s1, s2 and sinks t1, t2.
+    rank [A | W] - rank W + rank B - rank [A | B].
 
-With A = M(s2 -> t2), B = M(s1 -> t2), C = M(s1 -> t1) and
-W = B ker C, the multiplicity per shape is
-
-* rectangle:                 rank M(src -> snk)
-* two sources, one sink:     rank A + rank B - rank [A | B]
-* one source, two sinks:     rank B - rank W
-* two sources, two sinks:    rank [A | W] - rank W + rank B - rank [A | B]
-
-The last two are the block forms rank B + rank C - rank [B ; C] and
+With two sources and two sinks this is the block form
 rank [[A, B], [0, C]] + rank B - rank [B ; C] - rank [A | B], rewritten
 with rank [B ; C] = rank C + rank W and
 rank [[A, B], [0, C]] = rank C + rank [A | W], so every matrix
-eliminated has the rows of a single vertex space.
+eliminated has the rows of a single vertex space.  It stays exact where
+a corner is not a source or sink of its own:
 
-Every rank these need comes from one narrow elimination per grid column
+* b_2 = b_1: s2 sits over s1, so im A contains im B and im W, and the
+  formula is rank B - rank W;
+* d_2 = d_1: t1 sits under t2, so B = M(t1 -> t2) C and W = 0, and the
+  formula is rank A + rank B - rank [A | B].
+
+Both at once leave rank B, the rectangle's one path map; an interval on
+a single row (i) has rank M((i, b_i) -> (i, d_i)).
+
+Every rank this needs comes from one narrow elimination per grid column
 and one per sink of row 2, by three exact identities:
 
 * Image chain.  For a sink t = (i, j), f = M((i, j - 1) -> t) and b < j,
@@ -76,9 +75,9 @@ and one per sink of row 2, by three exact identities:
   c + rank [H ; U[c:]][:, :c1] - rank H[:, :c1].
 
 With rev(U) the rows of U reversed, the rank profiles of rev(U) and of
-[H ; rev(U)] for each t1 = (1, d1), d1 > j, give every pair and triple
-value of the sink t.  So a 2 x n module takes n image eliminations, each
-a stack of the f V of both rows.  The profile members of all n sinks of
+[H ; rev(U)] for each t1 = (1, d1), d1 > j, give every rank [A | B] and
+rank [A | W] of the sink t.  So a 2 x n module takes n image
+eliminations, each a stack of the f V of both rows.  The profile members of all n sinks of
 row 2 then go to one ffmat.stack_pivots call: the members of the sink
 (2, j) have the dim M_(1, j) columns of V1, so on a module with equal
 dimensions all sinks share stacks: n (n + 1) / 2 members in
@@ -116,18 +115,17 @@ TWO_SOURCES_TWO_SINKS = "two_sources_two_sinks"
 class SsShape(NamedTuple):
     """Source-sink shape of an interval in a grid of height <= 2.
 
-    kind is one of the five tags above.  For rectangles src and dst are
-    set; for the other shapes the role vertices s1, s2, t1, t2 are set
-    as applicable (s1/t1 on the bottom row, s2/t2 on the top row).
+    kind is one of the five tags above.  s1 = (s, b_s) and t2 = (t, d_t)
+    are always set: for a rectangle they are its source and sink.  s2 and
+    t1 are set only where the interval has a second source (t, b_t) or a
+    second sink (s, d_s).
     """
 
     kind: str
-    src: Vertex | None = None
-    dst: Vertex | None = None
-    s1: Vertex | None = None
+    s1: Vertex
+    t2: Vertex
     s2: Vertex | None = None
     t1: Vertex | None = None
-    t2: Vertex | None = None
 
 
 def classify_ss(I: Interval) -> SsShape:
@@ -140,15 +138,15 @@ def classify_ss(I: Interval) -> SsShape:
     if t - s > 1:
         raise ValueError(f"interval spans {t - s + 1} rows; compression handles at most 2")
     (b1, d1), (b2, d2) = rows[0], rows[-1]
-    if b1 == b2 and d1 == d2:
-        src, dst = (s, b1), (t, d2)
-        return SsShape(POINT if src == dst else ARROW, src=src, dst=dst)
-    # a staircase has b2 <= b1 and d2 <= d1, and not both equal here
-    if d2 == d1:
-        return SsShape(TWO_SOURCES_ONE_SINK, s1=(s, b1), s2=(t, b2), t2=(t, d2))
-    if b2 == b1:
-        return SsShape(ONE_SOURCE_TWO_SINKS, s1=(s, b1), t1=(s, d1), t2=(t, d2))
-    return SsShape(TWO_SOURCES_TWO_SINKS, s1=(s, b1), s2=(t, b2), t1=(s, d1), t2=(t, d2))
+    # a staircase has b2 <= b1 and d2 <= d1
+    s1, t2 = (s, b1), (t, d2)
+    s2 = (t, b2) if b2 < b1 else None
+    t1 = (s, d1) if d2 < d1 else None
+    if s2 is None:
+        kind = ONE_SOURCE_TWO_SINKS if t1 else POINT if s1 == t2 else ARROW
+    else:
+        kind = TWO_SOURCES_TWO_SINKS if t1 else TWO_SOURCES_ONE_SINK
+    return SsShape(kind, s1, t2, s2, t1)
 
 
 def _profile(piv: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -202,20 +200,19 @@ def _sink_members(module: PersistenceModule, j: int, tm: FFMatrix, v1: FFMatrix)
 
 
 class _GroupedRanks:
-    """Every rank the multiplicity formulas need, grouped by role vertices.
+    """Every rank the multiplicity formula needs, grouped by sink.
 
     For a sink t = (i, j), rect[t][b] = rank M((i, b) -> t), b = 0..j,
-    with rect[t][0] = 0.  For s1 = (1, b1) on row 1 and t2 on row 2,
-    pair[(s1, t2)][b] = rank [M((2, b) -> t2) | B] for b = 0..b1-1, the
-    b = 0 entry being rank B; triple[(s1, t1, t2)][b] is the same with
-    W in place of B.
+    with rect[t][0] = 0.  For t2 = (2, j), prof[t2][k][b1 - 1][b] is
+    rank [M((2, b) -> t2) | B] for k = 0, and the same with W in place of
+    B for k >= 1 and t1 = (1, j + k), where s1 = (1, b1); b = 0..j, and
+    the b = 0 entry is rank B or rank W.
     """
 
     def __init__(self, module: PersistenceModule):
         g, p, dims = module.grid, module.field.p, module.dims
         self.rect: dict[Vertex, list[int]] = {}
-        self.pair: dict[tuple[Vertex, Vertex], list[int]] = {}
-        self.triple: dict[tuple[Vertex, Vertex, Vertex], list[int]] = {}
+        self.prof: dict[Vertex, list[list[list[int]]]] = {}
         # the profile members of every row-2 sink, in column order
         members: list[np.ndarray] = []
         # per row, the basis V of the previous sink
@@ -242,45 +239,41 @@ class _GroupedRanks:
                 self._sink_ranks(module, j, pivots)
 
     def _sink_ranks(self, module: PersistenceModule, j: int, pivots: Iterator[np.ndarray]):
-        """pair and triple of the sink t = (2, j), from the rank profiles of
-        its members, whose pivot rows are the next ones pivots yields."""
+        """prof of the sink t = (2, j), from the rank profiles of its
+        members, whose pivot rows are the next ones pivots yields."""
         g, dims = module.grid, module.dims
         s, t = (1, j), (2, j)
         heights = [0] + [dims[(1, d1)] for d1 in range(j + 1, g.n + 1)]
-        c = np.array(self.rect[t][:j])
+        c = np.array(self.rect[t])
         c1 = self.rect[s][1:]
+        self.prof[t] = []
         # zip draws from heights first, so it takes only this sink's pivots
-        for k, (h, piv) in enumerate(zip(heights, pivots)):
+        for h, piv in zip(heights, pivots):
             counts = _profile(piv, np.concatenate(([h], h + dims[t] - c)))
             # c + rank [H ; U[c:]][:, :c1] - rank H[:, :c1], H empty for B;
             # row b1 - 1 holds the values of s1 = (1, b1)
-            rows = (c[:, None] + counts[1:, c1] - counts[0, c1]).T.tolist()
-            if k == 0:
-                self.pair.update((((1, b1), t), r[:b1]) for b1, r in enumerate(rows, 1))
-            else:
-                self.triple.update((((1, b1), (1, j + k), t), r[:b1]) for b1, r in enumerate(rows, 1))
+            self.prof[t].append((c[:, None] + counts[1:, c1] - counts[0, c1]).T.tolist())
 
     def value(self, I: Interval) -> int:
+        """rect[t2][b1] for I on one row, else rank [A | W] - rank W +
+        rank B - rank [A | B].  Without a second sink W = 0, so rank [A | W]
+        is rect[t2][b2]; without a second source b2 = b1."""
         shape = classify_ss(I)
-        if shape.kind in (POINT, ARROW):
-            src, dst = shape.src, shape.dst
-            return self.rect[dst][src[1]] if src[0] == dst[0] else self.pair[(src, dst)][0]
-        pair = self.pair[(shape.s1, shape.t2)]
-        if shape.kind == TWO_SOURCES_ONE_SINK:
-            b2 = shape.s2[1]
-            return self.rect[shape.t2][b2] + pair[0] - pair[b2]
-        triple = self.triple[(shape.s1, shape.t1, shape.t2)]
-        if shape.kind == ONE_SOURCE_TWO_SINKS:
-            return pair[0] - triple[0]
-        b2 = shape.s2[1]
-        return triple[b2] - triple[0] + pair[0] - pair[b2]
+        (i, b1), t2 = shape.s1, shape.t2
+        if i == t2[0]:
+            return self.rect[t2][b1]
+        prof = self.prof[t2]
+        p = prof[0][b1 - 1]
+        w = prof[shape.t1[1] - t2[1]][b1 - 1] if shape.t1 else self.rect[t2]
+        b2 = shape.s2[1] if shape.s2 else b1
+        return w[b2] - w[0] + p[0] - p[b2]
 
 
 def compressed_multiplicity_function(module: PersistenceModule) -> dict[Interval, int]:
     """Compressed multiplicity of every interval, in canonical order.
 
     Computes the grouped ranks once, from products with single arrows
-    only, and evaluates the formulas per interval on one thread.
+    only, and evaluates the formula per interval on one thread.
     """
     g = module.grid
     if g.m > 2:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator
 
 Vertex = tuple[int, int]
@@ -116,3 +117,25 @@ def enumerate_intervals(m: int, n: int) -> tuple[Interval, ...]:
                     for rows in extend([(b, d)], t - s):
                         out.append(Interval(s, t, rows))
     return tuple(out)
+
+
+def count_intervals(m: int, n: int) -> int:
+    """len(enumerate_intervals(m, n)), counted row by row without building
+    an interval.
+
+    N_L[b][d] counts the staircases of L rows whose top row spans columns
+    b..d: N_1 is 1 for b <= d, and N_{L+1}[b'][d'] is the sum of N_L[b][d]
+    over b' <= b <= d' <= d, the rows it can stand on.  A staircase of L
+    rows fits m - L + 1 bottom rows.
+    """
+    if m < 1 or n < 1:
+        raise ValueError(f"grid sizes must be positive: {m} x {n}")
+    N = [[int(b <= d) for d in range(n)] for b in range(n)]
+    total = 0
+    for L in range(1, m + 1):
+        total += (m - L + 1) * sum(map(sum, N))
+        # right[b][d]: sum of N[b][e] over e >= d; up[d][b]: of right[c][d] over c >= b
+        right = [list(accumulate(row[::-1]))[::-1] for row in N]
+        up = [list(accumulate(col[::-1]))[::-1] + [0] for col in zip(*right)]
+        N = [[up[d][b] - up[d][d + 1] if b <= d else 0 for d in range(n)] for b in range(n)]
+    return total

@@ -271,7 +271,8 @@ def _block_text(data: np.ndarray, p: int) -> str:
 def print_pmod(module: PersistenceModule) -> str:
     """Canonical PMOD document: dims row-major, then h maps, then v maps.
 
-    parse_pmod(print_pmod(M)) reproduces M exactly.
+    parse_pmod(print_pmod(M)) reproduces M exactly.  A module with a
+    dimension above MAX_DIM has no such document and raises ValueError.
     """
     g = module.grid
     out = io.StringIO()
@@ -279,7 +280,10 @@ def print_pmod(module: PersistenceModule) -> str:
     out.write(f"field {module.field.p}\n")
     out.write(f"grid {g.m} {g.n}\n")
     for i, j in g.vertices():
-        out.write(f"dim {i} {j} {module.dims[(i, j)]}\n")
+        k = module.dims[(i, j)]
+        if k > MAX_DIM:
+            raise ValueError(f"vertex ({i}, {j}) has dimension {k}, above the PMOD bound MAX_DIM = {MAX_DIM}")
+        out.write(f"dim {i} {j} {k}\n")
 
     def emit(kind: str, feet, mats) -> None:
         for v in feet:

@@ -15,7 +15,7 @@ import gridpersist
 from gridpersist import cli, compression, grid
 from gridpersist.approximation import SignedIntervalSum
 from gridpersist.cli import build_parser, main
-from gridpersist.intervals import Interval
+from gridpersist.intervals import Interval, count_intervals
 from gridpersist.pmod import parse_pmod
 
 
@@ -40,6 +40,14 @@ class TestIntervals:
     def test_count(self, capsys):
         code, out, _ = run_cli(capsys, "intervals", "2", "4", "--count")
         assert code == 0 and out == "55\n"
+
+    def test_count_builds_no_interval(self, capsys, monkeypatch):
+        def refuse(m, n):
+            raise AssertionError("--count enumerated the intervals")
+
+        monkeypatch.setattr(cli, "enumerate_intervals", refuse)
+        code, out, _ = run_cli(capsys, "intervals", "40", "40", "--count")
+        assert code == 0 and out == f"{count_intervals(40, 40)}\n"
 
     def test_listing(self, capsys):
         code, out, _ = run_cli(capsys, "intervals", "1", "2")
@@ -88,6 +96,24 @@ class TestGen:
     def test_unknown_kind(self, capsys):
         code, _, _ = run_cli(capsys, "gen", "bogus")
         assert code == 1
+
+    @pytest.mark.parametrize("argv, vertex, dim", [
+        (["random", "--n", "1", "--d", "1100"], "(1, 1)", 1100),
+        (["staircase", "--l", "600"], "(1, 3)", 1200),
+    ])
+    def test_dimension_above_the_bound_exits_2(self, argv, vertex, dim, tmp_path, capsys):
+        # every command that reads a PMOD file rejects such a document
+        dest = tmp_path / "big.pmod"
+        code, out, err = run_cli(capsys, "gen", *argv, "-o", str(dest))
+        assert code == 2 and out == ""
+        assert err == f"error: vertex {vertex} has dimension {dim}, above the PMOD bound MAX_DIM = 1024\n"
+        assert not dest.exists()
+
+    def test_dimension_at_the_bound_round_trips(self, tmp_path, capsys):
+        dest = tmp_path / "edge.pmod"
+        assert run_cli(capsys, "gen", "random", "--n", "1", "--d", "1024", "-o", str(dest))[0] == 0
+        code, out, _ = run_cli(capsys, "verify", str(dest))
+        assert code == 0 and out.endswith("dimension vector (1024 / 1024)\n")
 
     def test_output_into_a_missing_directory(self, tmp_path, capsys):
         dest = tmp_path / "missing" / "out.pmod"

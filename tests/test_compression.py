@@ -57,15 +57,15 @@ iv = Interval.from_string
 class TestClassify:
     def test_point(self):
         s = classify_ss(iv("1..1:[2,2]"))
-        assert s.kind == POINT and s.src == s.dst == (1, 2)
+        assert s.kind == POINT and s.s1 == s.t2 == (1, 2)
 
     def test_single_row_arrow(self):
         s = classify_ss(iv("2..2:[1,3]"))
-        assert s.kind == ARROW and s.src == (2, 1) and s.dst == (2, 3)
+        assert s.kind == ARROW and s.s1 == (2, 1) and s.t2 == (2, 3)
 
     def test_tall_rectangle_arrow(self):
         s = classify_ss(iv("1..2:[2,3];[2,3]"))
-        assert s.kind == ARROW and s.src == (1, 2) and s.dst == (2, 3)
+        assert s.kind == ARROW and s.s1 == (1, 2) and s.t2 == (2, 3)
 
     def test_two_sources_one_sink(self):
         s = classify_ss(iv("1..2:[2,3];[1,3]"))
@@ -87,6 +87,12 @@ class TestClassify:
     def test_three_rows_rejected(self):
         with pytest.raises(ValueError):
             classify_ss(Interval(1, 3, ((2, 2), (1, 2), (1, 1))))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_s1_and_t2_are_the_corners(self, m):
+        for I in enumerate_intervals(m, 6):
+            shape = classify_ss(I)
+            assert (shape.s1, shape.t2) == ((I.s, I.rows[0][0]), (I.t, I.rows[-1][1]))
 
 
 # Nonzero compressed multiplicities of the worked 2 x 3 example, frozen
@@ -249,6 +255,25 @@ class TestImageChain:
                    for m in modules for i in (1, 2) for j in range(2, 6))
 
 
+class TestProfileRows:
+    """The single formula reads rank A of s1 = (1, b1) off every profile
+    row at b = b1: im W and im B lie in im M((2, b1) -> t2)."""
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    def test_entry_at_b1_is_rank_a(self, p):
+        rng = make_rng(1100 + p)
+        field = FieldSpec(p)
+        modules = [random_module(6, d, field, rng) for d in (0, 1, 3, 5)]
+        modules += [module_with_gaps(6, 7, gaps, field, rng) for gaps in ([(1, 3)], [(2, 4)], [(1, 1), (2, 6)])]
+        for m in modules:
+            ranks = compression._GroupedRanks(m)
+            for j in range(1, 7):
+                t2 = (2, j)
+                assert len(ranks.prof[t2]) == 7 - j
+                for rows in ranks.prof[t2]:
+                    assert [r[b1] for b1, r in enumerate(rows, 1)] == ranks.rect[t2][1:]
+
+
 class TestArrowsOnly:
     """The grouped ranks multiply by single arrows: no path-map table."""
 
@@ -322,7 +347,7 @@ class TestStructuralProperties:
         for I in enumerate_intervals(2, 5):
             if is_rectangle(I):
                 shape = classify_ss(I)
-                assert f[I] == ranks[(shape.src, shape.dst)]
+                assert f[I] == ranks[(shape.s1, shape.t2)]
 
     def test_height_three_rejected(self):
         tall = PersistenceModule(Grid(3, 1), GF2, {(1, 1): 0, (2, 1): 0, (3, 1): 0})

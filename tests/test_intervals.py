@@ -8,7 +8,7 @@ import pickle
 
 import pytest
 
-from gridpersist.intervals import Interval, enumerate_intervals, interval_contains_rectangle
+from gridpersist.intervals import Interval, count_intervals, enumerate_intervals, interval_contains_rectangle
 from oracles import (
     NoJoinError,
     brute_covers,
@@ -134,6 +134,21 @@ class TestEnumeration:
     def test_count_matches_subset_enumeration(self):
         for m, n in [(1, 4), (2, 2), (2, 3), (3, 3)]:
             assert len(enumerate_intervals(m, n)) == subset_interval_count(m, n)
+
+    def test_row_by_row_count_matches_enumeration(self):
+        for m in range(1, 31):
+            for n in range(1, 30 // m + 1):
+                assert count_intervals(m, n) == len(enumerate_intervals(m, n)), (m, n)
+
+    def test_row_by_row_count_closed_forms(self):
+        # one row: n (n + 1) / 2 spans; one column: m (m + 1) / 2 row ranges
+        assert count_intervals(1, 40) == count_intervals(40, 1) == 820
+        assert count_intervals(2, 40) == 40 * 41 * (40 * 40 + 5 * 40 + 30) // 24
+
+    def test_row_by_row_count_rejects_empty_grids(self):
+        for m, n in [(0, 3), (3, 0), (-1, 2)]:
+            with pytest.raises(ValueError, match="positive"):
+                count_intervals(m, n)
 
     def test_single_row_grid(self):
         assert len(enumerate_intervals(1, 3)) == 6

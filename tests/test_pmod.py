@@ -654,6 +654,11 @@ class TestBounds:
         doc = f"PMOD 1\nfield 2\ngrid 1 1\ndim 1 1 {MAX_DIM}\nEND\n"
         assert parse_pmod(doc).dims == {(1, 1): MAX_DIM}
 
+    def test_printing_a_dimension_above_the_bound_raises(self):
+        module = PersistenceModule(Grid(1, 2), FieldSpec(2), {(1, 1): 0, (1, 2): MAX_DIM + 1})
+        with pytest.raises(ValueError, match=rf"vertex \(1, 2\) has dimension {MAX_DIM + 1}, .* MAX_DIM = {MAX_DIM}"):
+            print_pmod(module)
+
     @given(_DOCUMENTS)
     @settings(max_examples=400, deadline=None)
     def test_any_text_gives_module_or_pmod_error(self, text):
