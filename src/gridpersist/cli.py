@@ -15,7 +15,7 @@ import sys
 import time
 
 from .approximation import interval_approximation, rank_of_sum
-from .compression import compressed_multiplicity_function
+from .compression import MAX_HEIGHT, compressed_multiplicity_function
 from .ffmat import GF2, FieldSpec
 from .generators import (
     example_module,
@@ -90,10 +90,10 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def parse_pmod(text: str):
-    """pmod.parse_pmod for the commands that read a module.  They handle
-    grids of height at most 2, so a taller grid fails at its grid line.
-    perfbench/tracer.py wraps this name with a one-argument wrapper."""
-    return pmod.parse_pmod(text, max_height=2)
+    """pmod.parse_pmod for the commands that read a module, which fail at
+    the grid line of a grid taller than MAX_HEIGHT, the compression's
+    bound.  perfbench/tracer.py wraps this name with a one-argument wrapper."""
+    return pmod.parse_pmod(text, max_height=MAX_HEIGHT)
 
 
 def _read_module(path: str):
@@ -140,30 +140,18 @@ def cmd_verify(args) -> tuple[int, str]:
 
 
 def cmd_gen(args) -> tuple[int, str]:
-    field = FieldSpec(args.field)
-    rng = make_rng(args.seed)
-    if args.kind == "random":
-        module = random_module(args.n, args.d, field, rng)
-    elif args.kind == "interval":
-        module, _ = random_interval_decomposable(
-            args.m, args.n, args.k, field, rng, disguise=not args.plain
-        )
-    elif args.kind == "staircase":
-        module = staircase_family_module(args.l, field)
-    else:
-        module = example_module(field)
-    return 0, print_pmod(module)
+    return 0, print_pmod(args.build(args, FieldSpec(args.field)))
 
 
 def _bench_cell(n: int, d: int, reps: int, seed: int, field: FieldSpec = GF2):
     rng = make_rng(seed)
     module = random_module(n, d, field, rng)
-    enumerate_intervals(2, n)  # interval enumeration is excluded from timing
+    intervals = len(enumerate_intervals(module.grid.m, n))  # enumeration is excluded from timing
     times = []
     while len(times) < reps or sum(times) < _BENCH_CELL_S:
         t0 = time.perf_counter()
         f = compressed_multiplicity_function(module)
-        mobius_invert(f, 2, n)
+        mobius_invert(f, module.grid.m, n)
         times.append(time.perf_counter() - t0)
     return {
         "n": n,
@@ -171,7 +159,7 @@ def _bench_cell(n: int, d: int, reps: int, seed: int, field: FieldSpec = GF2):
         "reps": len(times),
         "mean_ms": round(1000.0 * sum(times) / len(times), 3),
         "median_ms": round(1000.0 * statistics.median(times), 3),
-        "intervals": len(enumerate_intervals(2, n)),
+        "intervals": intervals,
         "path_pairs": sum(1 for _ in module.grid.comparable_pairs()),
     }
 
@@ -208,18 +196,30 @@ def build_parser() -> argparse.ArgumentParser:
         # perfbench/run.py reads .threads for its host record; no flag sets it
         p.set_defaults(func=func, threads=1)
 
-    p = sub.add_parser("gen", help="generate PMOD files")
-    p.add_argument("kind", choices=["random", "interval", "staircase", "example"])
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--d", type=int, default=3, help="space dimension for kind=random")
-    p.add_argument("--k", type=int, default=3, help="summand count for kind=interval")
-    p.add_argument("--l", type=int, default=1, help="size parameter for kind=staircase")
-    p.add_argument("--plain", action="store_true", help="skip the disguising base change")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--field", type=int, default=2)
-    p.add_argument("--output", "-o", default=None)
-    p.set_defaults(func=cmd_gen)
+    gen = sub.add_parser("gen", help="generate PMOD files").add_subparsers(dest="kind", required=True)
+    options = {
+        "m": dict(type=int, choices=range(1, MAX_HEIGHT + 1), default=MAX_HEIGHT, help="grid height"),
+        "n": dict(type=int, default=4, help="grid width"),
+        "d": dict(type=int, default=3, help="space dimension"),
+        "k": dict(type=int, default=3, help="summand count"),
+        "l": dict(type=int, default=1, help="size parameter"),
+        "plain": dict(action="store_true", help="skip the disguising base change"),
+        "seed": dict(type=int, default=0),
+    }
+    for kind, names, build in (
+        ("random", "n d seed", lambda a, field: random_module(a.n, a.d, field, make_rng(a.seed))),
+        ("interval", "m n k plain seed", lambda a, field: random_interval_decomposable(
+            a.m, a.n, a.k, field, make_rng(a.seed), disguise=not a.plain)[0]),
+        ("staircase", "l", lambda a, field: staircase_family_module(a.l, field)),
+        ("example", "", lambda a, field: example_module(field)),
+    ):
+        p = gen.add_parser(kind)
+        for name in names.split():
+            p.add_argument(f"--{name}", **options[name])
+        # on each kind, not on gen: a sub-parser's default overwrites what its parent parsed
+        p.add_argument("--field", type=int, default=2)
+        p.add_argument("--output", "-o", default=None)
+        p.set_defaults(func=cmd_gen, build=build)
 
     p = sub.add_parser("bench", help="timing table over grid widths and dimensions (CSV)")
     p.add_argument("--n", type=_at_least(1, many=True), default="4,8,16", help="comma-separated grid widths")

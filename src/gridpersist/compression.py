@@ -105,6 +105,8 @@ from .intervals import Interval, Vertex, enumerate_intervals
 from .ffmat import block2x2, hstack, mat_rank, vstack  # noqa: F401
 from .grid import path_map_table  # noqa: F401
 
+MAX_HEIGHT = 2  # the tallest grid compressed here; the CLI reads no taller one
+
 POINT = "point"
 ARROW = "arrow"
 TWO_SOURCES_ONE_SINK = "two_sources_one_sink"
@@ -113,7 +115,7 @@ TWO_SOURCES_TWO_SINKS = "two_sources_two_sinks"
 
 
 class SsShape(NamedTuple):
-    """Source-sink shape of an interval in a grid of height <= 2.
+    """Source-sink shape of an interval in a grid of height <= MAX_HEIGHT.
 
     kind is one of the five tags above.  s1 = (s, b_s) and t2 = (t, d_t)
     are always set: for a rectangle they are its source and sink.  s2 and
@@ -129,14 +131,14 @@ class SsShape(NamedTuple):
 
 
 def classify_ss(I: Interval) -> SsShape:
-    """Classify an interval of a height <= 2 grid by sources and sinks.
+    """Classify an interval of a height <= MAX_HEIGHT grid by sources and sinks.
 
     Degenerate coincidences (equal row spans, single rows, single
     vertices) all land in the rectangle cases POINT and ARROW.
     """
     s, t, rows = I
-    if t - s > 1:
-        raise ValueError(f"interval spans {t - s + 1} rows; compression handles at most 2")
+    if t - s >= MAX_HEIGHT:
+        raise ValueError(f"interval spans {t - s + 1} rows; compression handles at most {MAX_HEIGHT}")
     (b1, d1), (b2, d2) = rows[0], rows[-1]
     # a staircase has b2 <= b1 and d2 <= d1
     s1, t2 = (s, b1), (t, d2)
@@ -225,15 +227,15 @@ class _GroupedRanks:
                 for i, t in zip(bases, sinks)
             ]
             # the top sink's vertical arrow, or no columns on a single row
-            arrow = module.vmaps[(1, j)].data if g.m == 2 else np.zeros((dims[sinks[0]], 0), dtype=np.int64)
+            arrow = module.vmaps[(1, j)].data if g.m > 1 else np.zeros((dims[sinks[0]], 0), dtype=np.int64)
             helds, new, tm = _image_step(images, arrow, p)
             for i, t, held, v in zip(bases, sinks, helds, new):
                 prefix = np.concatenate(([0], np.cumsum(held)))
                 self.rect[t] = prefix[self.rect.get((i, j - 1), [0])].tolist() + [dims[t]]
                 bases[i] = FFMatrix._wrap(v, p)
-            if g.m == 2:
+            if g.m > 1:
                 members += _sink_members(module, j, FFMatrix._wrap(tm, p), bases[1])
-        if g.m == 2:
+        if g.m > 1:
             pivots = iter(stack_pivots(members, p))
             for j in range(1, g.n + 1):
                 self._sink_ranks(module, j, pivots)
@@ -276,8 +278,8 @@ def compressed_multiplicity_function(module: PersistenceModule) -> dict[Interval
     only, and evaluates the formula per interval on one thread.
     """
     g = module.grid
-    if g.m > 2:
-        raise ValueError(f"grid height {g.m} > 2 is not supported")
+    if g.m > MAX_HEIGHT:
+        raise ValueError(f"grid height {g.m} > {MAX_HEIGHT} is not supported")
     intervals = enumerate_intervals(g.m, g.n)
     ranks = _GroupedRanks(module)
     return {I: ranks.value(I) for I in intervals}

@@ -374,21 +374,20 @@ def _inverses(p: int) -> np.ndarray:
     return inv.astype(np.uint32)
 
 
-def _echelon_gfp(a: np.ndarray, p: int, limit: int | None = None, forward: bool = False) -> np.ndarray:
+def _echelon_gfp(a: np.ndarray, p: int, limit: int, forward: bool) -> np.ndarray:
     """The GF(p) core on a (count, rows, cols) uint32 stack.
 
-    It walks the columns below limit (all of them by default) in order
-    and skips one with no nonzero on a free row.  It reduces, or with
-    forward set updates only the free rows.  Entries stay in [0, p) and
-    p < 2**16, so an update adds at most p (p - 1) to an entry below p
-    and never leaves uint32.
+    It walks the columns below limit in order and skips one with no
+    nonzero on a free row.  It reduces, or with forward set updates only
+    the free rows.  Entries stay in [0, p) and p < 2**16, so an update
+    adds at most p (p - 1) to an entry below p and never leaves uint32.
     """
     count, rows, cols = a.shape
     piv = np.full((count, cols), -1, dtype=np.int64)
     free = np.ones((count, rows), dtype=bool)
     members = np.arange(count)
     inverse = _inverses(p)
-    for c in range(cols if limit is None else limit):
+    for c in range(limit):
         col = a[:, :, c]
         cand = free & (col != 0)
         if not cand.any():

@@ -181,7 +181,7 @@ def parse_pmod(text: str, *, max_height: int | None = None) -> PersistenceModule
         raise PmodError(f"{_amount('grid height', m)} exceeds the bound {max_height}", lineno)
 
     dims: dict[tuple[int, int], int] = {}
-    maps: dict[tuple[str, int, int], FFMatrix] = {}
+    maps: dict[str, dict[tuple[int, int], FFMatrix]] = {"h": {}, "v": {}}
 
     def in_grid(i: int, j: int) -> bool:
         # arithmetic, so a huge grid header allocates nothing per vertex
@@ -212,14 +212,14 @@ def parse_pmod(text: str, *, max_height: int | None = None) -> PersistenceModule
                 raise PmodError(f"arrow {_vertex(i, j)} has no {kind} successor in the grid", lineno)
             if src not in dims or dst not in dims:
                 raise PmodError("map block before the dimensions of both endpoints", lineno)
-            if (kind, i, j) in maps:
+            if (i, j) in maps[kind]:
                 raise PmodError(f"duplicate map block for {kind} {_vertex(i, j)}", lineno)
             rows, cols = dims[dst], dims[src]
             if rows == 0 or cols == 0:
                 raise PmodError("zero-dimensional arrows must be omitted", lineno)
             block = lines[pos:pos + rows]
             pos += len(block)
-            maps[(kind, i, j)] = FFMatrix._wrap(_block_entries(block, cols, field.p), field.p)
+            maps[kind][(i, j)] = FFMatrix._wrap(_block_entries(block, cols, field.p), field.p)
             if len(block) < rows:
                 take(f"a row of {cols} entries")  # raises: the document ends in the block
         else:
@@ -235,12 +235,10 @@ def parse_pmod(text: str, *, max_height: int | None = None) -> PersistenceModule
     # every block has endpoints of positive dimension, checked at its line
     for kind, feet, (di, dj) in (("h", grid.harrows(), (0, 1)), ("v", grid.varrows(), (1, 0))):
         for i, j in feet:
-            if dims[(i, j)] and dims[(i + di, j + dj)] and (kind, i, j) not in maps:
+            if dims[(i, j)] and dims[(i + di, j + dj)] and (i, j) not in maps[kind]:
                 raise PmodError(f"missing map block for {kind} {(i, j)}")
-    hmaps = {(i, j): a for (kind, i, j), a in maps.items() if kind == "h"}
-    vmaps = {(i, j): a for (kind, i, j), a in maps.items() if kind == "v"}
 
-    module = PersistenceModule(grid, field, dims, hmaps, vmaps)
+    module = PersistenceModule(grid, field, dims, maps["h"], maps["v"])
     bad = validate(module)
     if bad is not None:
         raise PmodError(f"square at ({bad[0]}, {bad[1]}) does not commute")

@@ -15,8 +15,10 @@ import gridpersist
 from gridpersist import cli, compression, grid
 from gridpersist.approximation import SignedIntervalSum
 from gridpersist.cli import build_parser, main
+from gridpersist.ffmat import FieldSpec
+from gridpersist.generators import make_rng, random_interval_decomposable
 from gridpersist.intervals import Interval, count_intervals
-from gridpersist.pmod import parse_pmod
+from gridpersist.pmod import format_signed_sum, parse_pmod
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +64,59 @@ class TestIntervals:
         code, _, err = run_cli(capsys, "intervals", "0", "4")
         assert code == 2
         assert "error" in err
+
+
+# every option of gen but --field and -o, with a value, and the kinds that read each
+GEN_OPTIONS = {"--m": ["2"], "--n": ["4"], "--d": ["3"], "--k": ["3"], "--l": ["1"], "--plain": [], "--seed": ["0"]}
+GEN_READS = {"random": ["--n", "--d", "--seed"], "interval": ["--m", "--n", "--k", "--plain", "--seed"],
+             "staircase": ["--l"], "example": []}
+GEN_IGNORED = [(kind, option) for kind, reads in GEN_READS.items() for option in GEN_OPTIONS if option not in reads]
+
+
+class TestGenOptions:
+    """Each gen kind takes only the options it reads, besides --field and -o."""
+
+    def test_nineteen_pairs_are_refused(self):
+        assert len(GEN_IGNORED) == 19
+
+    @pytest.mark.parametrize("kind", GEN_READS)
+    def test_every_option_read_is_accepted(self, kind, capsys):
+        argv = [word for option in GEN_READS[kind] for word in (option, *GEN_OPTIONS[option])]
+        code, out, _ = run_cli(capsys, "gen", kind, *argv, "--field", "3")
+        assert code == 0 and out.startswith("PMOD 1\nfield 3\n")
+
+    @pytest.mark.parametrize("kind, option", GEN_IGNORED)
+    def test_an_option_not_read_is_a_usage_error(self, kind, option, tmp_path, capsys):
+        dest = tmp_path / "out.pmod"
+        code, out, err = run_cli(capsys, "gen", kind, option, *GEN_OPTIONS[option], "-o", str(dest))
+        assert code == 1 and out == ""
+        assert f"unrecognized arguments: {option}" in err
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("m", ["0", "3", "x"])
+    def test_interval_height_outside_the_bound(self, m, tmp_path, capsys):
+        dest = tmp_path / "out.pmod"
+        code, out, err = run_cli(capsys, "gen", "interval", "--m", m, "--n", "2", "-o", str(dest))
+        assert code == 1 and out == "" and "argument --m: invalid" in err
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_interval_heights_round_trip(self, m, tmp_path, capsys):
+        # approx of an interval sum is its true decomposition
+        dest = tmp_path / "sum.pmod"
+        code, _, _ = run_cli(capsys, "gen", "interval", "--m", str(m), "--n", "4", "--k", "5",
+                             "--field", "3", "--seed", "11", "-o", str(dest))
+        assert code == 0 and parse_pmod(dest.read_text()).grid.m == m
+        code, out, _ = run_cli(capsys, "verify", str(dest))
+        assert code == 0 and out.startswith("PASS")
+        _, truth = random_interval_decomposable(m, 4, 5, FieldSpec(3), make_rng(11))
+        code, out, _ = run_cli(capsys, "approx", str(dest))
+        assert code == 0 and out == format_signed_sum(truth)
+
+    def test_parent_options_stay_with_the_kind(self, capsys):
+        # gen itself takes no option, so a kind's defaults cannot overwrite one
+        code, _, err = run_cli(capsys, "gen", "--field", "3", "example")
+        assert code == 1 and err.startswith("usage: ")
 
 
 class TestGen:

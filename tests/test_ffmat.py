@@ -52,7 +52,7 @@ def packed_pivots(arr):
 def generic_reduced(arr, p):
     """Pivot rows and reduced form of one matrix by the generic core, any p."""
     a = np.asarray(arr, dtype=np.uint32)[None].copy()
-    piv = _echelon_gfp(a, p)[0]
+    piv = _echelon_gfp(a, p, a.shape[2], False)[0]
     return piv, a[0].astype(np.int64)
 
 
