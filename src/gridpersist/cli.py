@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import statistics
@@ -55,6 +56,14 @@ def _at_least(least: int, many: bool = False):
         what = "comma-separated integers" if many else "an integer"
         raise argparse.ArgumentTypeError(f"expected {what} >= {least}, got {text!r}")
     return convert
+
+
+def _field(text: str) -> FieldSpec:
+    """argparse type: GF(p) for a prime modulus p in [2, 2**16)."""
+    try:
+        return FieldSpec(_at_least(2)(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _cannot_write(path: str, exc: OSError):
@@ -140,7 +149,7 @@ def cmd_verify(args) -> tuple[int, str]:
 
 
 def cmd_gen(args) -> tuple[int, str]:
-    return 0, print_pmod(args.build(args, FieldSpec(args.field)))
+    return 0, print_pmod(args.build(args, args.field))
 
 
 def _bench_cell(n: int, d: int, reps: int, seed: int, field: FieldSpec = GF2):
@@ -165,8 +174,7 @@ def _bench_cell(n: int, d: int, reps: int, seed: int, field: FieldSpec = GF2):
 
 
 def cmd_bench(args) -> tuple[int, str]:
-    field = FieldSpec(args.field)
-    rows = [_bench_cell(n, d, args.reps, args.seed, field) for d in args.d for n in args.n]
+    rows = [_bench_cell(n, d, args.reps, args.seed, args.field) for d in args.d for n in args.n]
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=list(rows[0]))
     writer.writeheader()
@@ -174,14 +182,17 @@ def cmd_bench(args) -> tuple[int, str]:
     return 0, out.getvalue()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process; its defaults hold
+    the cmd_* functions, so a test replaces the workers they call, not them."""
     parser = _Parser(prog="gridpersist",
                      description="Interval-decomposable approximation of 2-parameter persistence modules")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("intervals", help="list the intervals of an m x n grid")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("m", type=_at_least(1))
+    p.add_argument("n", type=_at_least(1))
     p.add_argument("--count", action="store_true", help="print only the number of intervals")
     p.set_defaults(func=cmd_intervals, output=None)
 
@@ -199,12 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate PMOD files").add_subparsers(dest="kind", required=True)
     options = {
         "m": dict(type=int, choices=range(1, MAX_HEIGHT + 1), default=MAX_HEIGHT, help="grid height"),
-        "n": dict(type=int, default=4, help="grid width"),
-        "d": dict(type=int, default=3, help="space dimension"),
-        "k": dict(type=int, default=3, help="summand count"),
-        "l": dict(type=int, default=1, help="size parameter"),
+        "n": dict(type=_at_least(1), default=4, help="grid width"),
+        "d": dict(type=_at_least(0), default=3, help="space dimension"),
+        "k": dict(type=_at_least(0), default=3, help="summand count"),
+        "l": dict(type=_at_least(1), default=1, help="size parameter"),
         "plain": dict(action="store_true", help="skip the disguising base change"),
-        "seed": dict(type=int, default=0),
+        "seed": dict(type=_at_least(0), default=0),
     }
     for kind, names, build in (
         ("random", "n d seed", lambda a, field: random_module(a.n, a.d, field, make_rng(a.seed))),
@@ -217,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name in names.split():
             p.add_argument(f"--{name}", **options[name])
         # on each kind, not on gen: a sub-parser's default overwrites what its parent parsed
-        p.add_argument("--field", type=int, default=2)
+        p.add_argument("--field", type=_field, default=GF2, help="prime modulus")
         p.add_argument("--output", "-o", default=None)
         p.set_defaults(func=cmd_gen, build=build)
 
@@ -225,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_at_least(1, many=True), default="4,8,16", help="comma-separated grid widths")
     p.add_argument("--d", type=_at_least(0, many=True), default="10", help="comma-separated space dimensions")
     p.add_argument("--reps", type=_at_least(1), default=5, help="least timed runs per cell")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--field", type=int, default=2, help="prime modulus of the random modules")
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--field", type=_field, default=GF2, help="prime modulus of the random modules")
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_bench)
 

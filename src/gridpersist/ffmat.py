@@ -32,18 +32,19 @@ loop's time for the image chain (2 members of 100 rows), but the numpy
 loop takes an eighth of theirs for the 78 profile members of up to
 200 x 100.
 
-stack_pivots is the one batching policy, for mat_ranks and compression:
-matrices with one column count share a stack of up to _BATCH members,
-zero-padded only in rows, and on GF(2) packed in one call.  Padding in
-columns too measured slower where most matrices have widths of their
-own.  kernel_basis and mat_inv read a reduced form, so they eliminate a
-stack of one, through _reduced.
+stack_pivots is the one batching policy and the one road to a rank, for
+rank_invariant, mat_rank and compression: matrices with one column count
+share a stack of up to _BATCH members, zero-padded only in rows, and on
+GF(2) packed in one call.  Padding in columns too measured slower where
+most matrices have widths of their own.  kernel_basis, pullback_basis
+and mat_inv read a reduced form, so they eliminate a stack of one,
+through _reduced.
 
 Reduction updates every row with a nonzero in the column, forward
 elimination only the free rows.  A pivot row is never chosen again, and
 each update adds the new pivot row as it stood when chosen, so the free
 rows see the same updates either way: both give the same pivots and
-rank profile.  Only pivots are read from stack_pivots (mat_ranks,
+rank profile.  Only pivots are read from stack_pivots (mat_rank,
 rank_invariant, compression's profile members) and from compression's
 image chain, so these eliminate forward; there the GF(p) core and the
 GF(2) int rows neither update nor rescale a pivot row.  The GF(2) numpy
@@ -437,26 +438,18 @@ def stack_pivots(members: Sequence[np.ndarray], p: int) -> list[np.ndarray]:
 
 
 def mat_rank(a: FFMatrix) -> int:
-    """Rank of a over GF(p); a 0 x k or k x 0 matrix has rank 0."""
-    return mat_ranks([a])[0]
+    """Rank of a over GF(p), the pivots of a stack of one; a 0 x k or k x 0 matrix has rank 0."""
+    return int((stack_pivots([a.data], a.p)[0] >= 0).sum())
 
 
-def mat_ranks(mats: Sequence[FFMatrix]) -> list[int]:
-    """Ranks of matrices over one field, eliminated by stack_pivots."""
-    if not mats:
-        return []
-    pivots = stack_pivots([a.data for a in mats], _check_same_p(*mats))
-    return [int(np.count_nonzero(piv >= 0)) for piv in pivots]
-
-
-def _kernel(form: np.ndarray, piv: np.ndarray, p: int) -> FFMatrix:
-    """Kernel basis from a reduced form and its pivot rows."""
+def _kernel(form: np.ndarray, piv: np.ndarray, p: int) -> np.ndarray:
+    """Kernel basis, as columns, from a reduced form and its pivot rows."""
     held = piv >= 0
     free = np.flatnonzero(~held)
     basis = np.zeros((piv.size, free.size), dtype=np.int64)
     basis[free, np.arange(free.size)] = 1
     basis[held] = (-form[piv[held]][:, free]) % p
-    return FFMatrix._wrap(basis, p)
+    return basis
 
 
 def _reduced(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -472,7 +465,7 @@ def kernel_basis(a: FFMatrix) -> FFMatrix:
     Columns follow the free columns they belong to, so the result is
     deterministic; a @ kernel_basis(a) is zero and k = cols - rank(a).
     """
-    return _kernel(*_reduced(a.data, a.p), a.p)
+    return FFMatrix._wrap(_kernel(*_reduced(a.data, a.p), a.p), a.p)
 
 
 def mat_inv(a: FFMatrix) -> FFMatrix:
@@ -530,20 +523,12 @@ def block2x2(a, b, c, d) -> FFMatrix:
     bottom = dim(c, d, 0)
     left = dim(a, c, 1)
     right = dim(b, d, 1)
-    expected = [(a, top, left), (b, top, right), (c, bottom, left), (d, bottom, right)]
-    for m, r, cc in expected:
+    slots = [[(a, top, left), (b, top, right)], [(c, bottom, left), (d, bottom, right)]]
+    for m, r, cc in slots[0] + slots[1]:
         if m is not None and m.shape != (r, cc):
             raise ShapeError(f"block of shape {m.shape} does not fit slot {(r, cc)}")
-    body = np.zeros((top + bottom, left + right), dtype=np.int64)
-    if a is not None:
-        body[:top, :left] = a.data
-    if b is not None:
-        body[:top, left:] = b.data
-    if c is not None:
-        body[top:, :left] = c.data
-    if d is not None:
-        body[top:, left:] = d.data
-    return FFMatrix._wrap(body, p)
+    return FFMatrix._wrap(np.block([[np.zeros((r, cc), dtype=np.int64) if m is None else m.data
+                                     for m, r, cc in row] for row in slots]), p)
 
 
 def pullback_basis(f: FFMatrix, g: FFMatrix) -> tuple[FFMatrix, FFMatrix]:
@@ -557,11 +542,8 @@ def pullback_basis(f: FFMatrix, g: FFMatrix) -> tuple[FFMatrix, FFMatrix]:
     p = _check_same_p(f, g)
     if f.rows != g.rows:
         raise ShapeError(f"pullback needs a common codomain: {f.shape} vs {g.shape}")
-    neg_g = FFMatrix((-g.data) % p, p)
-    ker = kernel_basis(hstack(f, neg_g))
-    phi1 = FFMatrix(ker.data[: f.cols, :], p)
-    phi2 = FFMatrix(ker.data[f.cols:, :], p)
-    return phi1, phi2
+    basis = _kernel(*_reduced(np.hstack([f.data, (-g.data) % p]), p), p)
+    return FFMatrix._wrap(basis[:f.cols], p), FFMatrix._wrap(basis[f.cols:], p)
 
 
 def random_matrix(rows: int, cols: int, field: FieldSpec, rng: np.random.Generator) -> FFMatrix:
@@ -570,12 +552,12 @@ def random_matrix(rows: int, cols: int, field: FieldSpec, rng: np.random.Generat
 
 
 def random_invertible(d: int, field: FieldSpec, rng: np.random.Generator) -> FFMatrix:
-    """A random invertible d x d matrix, built as P @ L @ U.
+    """A random invertible d x d matrix, the rows of L @ U in a random order.
 
-    L is unit lower triangular with random strictly lower entries, U is
-    upper triangular with random nonzero diagonal, P is a random
-    permutation, so the product is always invertible.  For d = 1, p = 2
-    this is the unique invertible matrix [[1]].
+    L is unit lower triangular with random strictly lower entries and U is
+    upper triangular with random nonzero diagonal, so L @ U is invertible,
+    and so is P @ L @ U, its rows indexed by a random permutation.  For
+    d = 1, p = 2 this is the unique invertible matrix [[1]].
     """
     p = field.p
     if d == 0:
@@ -583,5 +565,4 @@ def random_invertible(d: int, field: FieldSpec, rng: np.random.Generator) -> FFM
     lower = np.tril(rng.integers(0, p, size=(d, d), dtype=np.int64), -1) + np.eye(d, dtype=np.int64)
     upper = np.triu(rng.integers(0, p, size=(d, d), dtype=np.int64), 1)
     upper += np.diag(rng.integers(1, p, size=d, dtype=np.int64))
-    perm = np.eye(d, dtype=np.int64)[rng.permutation(d)]
-    return mat_mul(FFMatrix(perm, p), mat_mul(FFMatrix(lower, p), FFMatrix(upper, p)))
+    return FFMatrix._wrap(mat_mul(FFMatrix(lower, p), FFMatrix(upper, p)).data[rng.permutation(d)], p)

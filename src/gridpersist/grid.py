@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .ffmat import FFMatrix, FieldSpec, ShapeError, mat_inv, mat_mul, mat_ranks
+from .ffmat import FFMatrix, FieldSpec, ShapeError, mat_inv, mat_mul, stack_pivots
 
 # perfbench/tracer.py patches this name on this module; nothing here calls it
 from .ffmat import mat_rank  # noqa: F401
@@ -160,10 +160,11 @@ def path_map_table(module: PersistenceModule) -> dict[tuple[Vertex, Vertex], FFM
 def rank_invariant(module: PersistenceModule) -> dict[tuple[Vertex, Vertex], int]:
     """rank M(src -> dst) for every comparable pair src <= dst.
 
-    The path maps are eliminated together as zero-padded stacks.
+    The path maps are eliminated together by stack_pivots.
     """
     table = path_map_table(module)
-    return dict(zip(table, mat_ranks(list(table.values()))))
+    pivots = stack_pivots([a.data for a in table.values()], module.field.p)
+    return {pair: int((piv >= 0).sum()) for pair, piv in zip(table, pivots)}
 
 
 def dimension_vector(module: PersistenceModule) -> dict[Vertex, int]:

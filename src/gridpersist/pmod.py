@@ -44,11 +44,11 @@ from .intervals import Interval
 
 
 class PmodError(ValueError):
-    """A malformed or inconsistent PMOD document."""
+    """A malformed or inconsistent PMOD document, and the line it fails at."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int):
         self.line = line
-        super().__init__(f"line {line}: {message}" if line is not None else message)
+        super().__init__(f"line {line}: {message}")
 
 
 def _logical_lines(text: str):
@@ -139,10 +139,10 @@ def _block_entries(rows: list[tuple[int, str]], cols: int, p: int) -> np.ndarray
 def parse_pmod(text: str, *, max_height: int | None = None) -> PersistenceModule:
     """Parse a PMOD document into a validated persistence module.
 
-    Raises PmodError carrying the offending line number for syntax
-    problems, and without one for global problems (missing vertices,
-    missing or surplus map blocks, a non-commuting square).  A grid
-    taller than max_height, if given, fails at its grid line.
+    Raises PmodError carrying the offending line number: a syntax
+    problem's own line, and the END line for problems of the whole
+    document (a missing dimension or map block, a non-commuting square).
+    A grid taller than max_height, if given, fails at its grid line.
     """
     lines = list(_logical_lines(text))
     pos = 0
@@ -227,21 +227,22 @@ def parse_pmod(text: str, *, max_height: int | None = None) -> PersistenceModule
 
     if pos < len(lines):
         raise PmodError("content after END", lines[pos][0])
+    # checks of the whole document fail at END, whose line lineno still holds;
     # dims holds grid vertices only, so the scan stops within len(dims) + 1 steps
     missing = next((v for v in grid.vertices() if v not in dims), None)
     if missing is not None:
-        raise PmodError(f"missing dimension for vertex {missing}")
+        raise PmodError(f"missing dimension for vertex {missing}", lineno)
 
     # every block has endpoints of positive dimension, checked at its line
     for kind, feet, (di, dj) in (("h", grid.harrows(), (0, 1)), ("v", grid.varrows(), (1, 0))):
         for i, j in feet:
             if dims[(i, j)] and dims[(i + di, j + dj)] and (i, j) not in maps[kind]:
-                raise PmodError(f"missing map block for {kind} {(i, j)}")
+                raise PmodError(f"missing map block for {kind} {(i, j)}", lineno)
 
     module = PersistenceModule(grid, field, dims, maps["h"], maps["v"])
     bad = validate(module)
     if bad is not None:
-        raise PmodError(f"square at ({bad[0]}, {bad[1]}) does not commute")
+        raise PmodError(f"square at ({bad[0]}, {bad[1]}) does not commute", lineno)
     return module
 
 

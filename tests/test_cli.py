@@ -61,9 +61,9 @@ class TestIntervals:
         assert code == 1
 
     def test_nonpositive_grid(self, capsys):
-        code, _, err = run_cli(capsys, "intervals", "0", "4")
-        assert code == 2
-        assert "error" in err
+        code, out, err = run_cli(capsys, "intervals", "0", "4")
+        assert code == 1 and out == ""
+        assert "argument m: expected an integer >= 1, got '0'" in err
 
 
 # every option of gen but --field and -o, with a value, and the kinds that read each
@@ -119,6 +119,48 @@ class TestGenOptions:
         assert code == 1 and err.startswith("usage: ")
 
 
+class TestOutOfRangeValues:
+    """A value outside an option's range is a usage error: exit 1, with no
+    stdout and no -o file, before any work."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["intervals", "0", "3"], "argument m: expected an integer >= 1, got '0'"),
+        (["intervals", "2", "-1"], "argument n: expected an integer >= 1, got '-1'"),
+        (["gen", "random", "--n", "0"], "argument --n: expected an integer >= 1, got '0'"),
+        (["gen", "random", "--d", "-1"], "argument --d: expected an integer >= 0, got '-1'"),
+        (["gen", "staircase", "--l", "0"], "argument --l: expected an integer >= 1, got '0'"),
+        (["gen", "interval", "--k", "-1"], "argument --k: expected an integer >= 0, got '-1'"),
+        (["gen", "random", "--seed", "-1"], "argument --seed: expected an integer >= 0, got '-1'"),
+        (["gen", "interval", "--seed", "x"], "argument --seed: expected an integer >= 0, got 'x'"),
+        (["gen", "random", "--field", "4"], "argument --field: field modulus must be prime: 4"),
+        (["gen", "example", "--field", "65537"],
+         "argument --field: field modulus must be an integer in [2, 2**16): 65537"),
+        (["gen", "example", "--field", "1"], "argument --field: expected an integer >= 2, got '1'"),
+        (["bench", "--field", "4"], "argument --field: field modulus must be prime: 4"),
+        (["bench", "--seed", "-1"], "argument --seed: expected an integer >= 0, got '-1'"),
+    ])
+    def test_usage_error(self, argv, message, tmp_path, capsys, monkeypatch):
+        for worker in ("_bench_cell", "count_intervals", "enumerate_intervals", "print_pmod"):
+            monkeypatch.setattr(cli, worker, TestOutputCheckedFirst.refuse)
+        dest = tmp_path / "out.txt"
+        output = [] if argv[0] == "intervals" else ["-o", str(dest)]  # intervals has no -o
+        code, out, err = run_cli(capsys, *argv, *output)
+        assert code == 1 and out == ""
+        assert err.startswith("usage: ") and message in err
+        assert not dest.exists()
+
+
+class TestParserOnce:
+    def test_two_runs_share_one_parser(self, capsys, monkeypatch):
+        used = []
+        parse = cli._Parser.parse_args
+        monkeypatch.setattr(cli._Parser, "parse_args", lambda self, *a: used.append(self) or parse(self, *a))
+        first = run_cli(capsys, "gen", "random", "--n", "3", "--seed", "5")
+        second = run_cli(capsys, "gen", "random", "--n", "3", "--seed", "5")
+        assert first[0] == 0 and first == second
+        assert len(used) == 2 and used[0] is used[1] is build_parser()
+
+
 class TestGen:
     def test_example_roundtrips(self, example_file):
         with open(example_file) as fh:
@@ -144,9 +186,9 @@ class TestGen:
         assert "grid 2 5" in out
 
     def test_bad_field_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "gen", "random", "--field", "9")
-        assert code == 2
-        assert "error" in err
+        code, out, err = run_cli(capsys, "gen", "random", "--field", "9")
+        assert code == 1 and out == ""
+        assert "argument --field: field modulus must be prime: 9" in err
 
     def test_unknown_kind(self, capsys):
         code, _, _ = run_cli(capsys, "gen", "bogus")
@@ -524,4 +566,4 @@ class TestBenchField:
     def test_rejects_composite(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_bench_cell", TestOutputCheckedFirst.refuse)
         code, out, err = run_cli(capsys, "bench", "--n", "2", "--field", "4")
-        assert code == 2 and out == "" and "prime" in err
+        assert code == 1 and out == "" and "argument --field: field modulus must be prime: 4" in err

@@ -28,7 +28,6 @@ from gridpersist.ffmat import (
     mat_inv,
     mat_mul,
     mat_rank,
-    mat_ranks,
     pullback_basis,
     random_invertible,
     random_matrix,
@@ -58,7 +57,7 @@ def generic_reduced(arr, p):
 
 def generic_kernel(a):
     piv, form = generic_reduced(a.data, a.p)
-    return _kernel(form, piv, a.p)
+    return FFMatrix._wrap(_kernel(form, piv, a.p), a.p)
 
 
 def generic_inverse(a):
@@ -331,7 +330,9 @@ class TestStack:
             assert pivots == np.flatnonzero(stack_pivots([a.data], p)[0] >= 0).tolist()
             assert len(pivots) == naive_rank(a.tolist(), p)
             assert piv[k].max(initial=-1) < a.rows
-        assert mat_ranks(mats) == [int(np.count_nonzero(stack_pivots([a.data], p)[0] >= 0)) for a in mats]
+        batched = stack_pivots([a.data for a in mats], p)
+        assert [piv.tolist() for piv in batched] == [stack_pivots([a.data], p)[0].tolist() for a in mats]
+        assert [int(np.count_nonzero(piv >= 0)) for piv in batched] == [mat_rank(a) for a in mats]
 
     @pytest.mark.parametrize("p", [2, 3, 65521])
     @pytest.mark.parametrize("shapes", [[(0, 3), (0, 70), (0, 0)], [(5, 0), (0, 0), (2, 0)]])
@@ -361,11 +362,11 @@ class TestStack:
     @pytest.mark.parametrize("p", [2, 65521])
     def test_batches_split_anywhere(self, p, monkeypatch):
         rng = np.random.default_rng(p + 1)
-        mats = [rand_mat(rng, int(rng.integers(0, 6)), 9, p) for _ in range(11)]
-        whole = mat_ranks(mats)
+        mats = [rand_mat(rng, int(rng.integers(0, 6)), 9, p).data for _ in range(11)]
+        whole = [piv.tolist() for piv in stack_pivots(mats, p)]
         monkeypatch.setattr(ffmat, "_BATCH", 4)
-        assert mat_ranks(mats) == whole
-        assert whole == [naive_rank(a.tolist(), p) for a in mats]
+        assert [piv.tolist() for piv in stack_pivots(mats, p)] == whole
+        assert [sum(r >= 0 for r in piv) for piv in whole] == [naive_rank(a.tolist(), p) for a in mats]
 
 
 def count_eliminations(monkeypatch):
@@ -652,6 +653,47 @@ class TestStacking:
             assert max(mat_rank(a), mat_rank(b)) <= r <= mat_rank(a) + mat_rank(b)
 
 
+class TestBlock2x2:
+    """block2x2 against the blocks' rows laid side by side by hand, over
+    every pattern of None blocks and with blocks of zero rows or columns."""
+
+    SLOTS = [(0, 2), (0, 3), (1, 2), (1, 3)]  # a, b, c, d: indices of their (rows, cols) in sizes
+
+    def naive(self, blocks, sizes):
+        parts = [m.tolist() if m is not None else [[0] * sizes[c]] * sizes[r]
+                 for m, (r, c) in zip(blocks, self.SLOTS)]
+        return [x + y for x, y in zip(parts[0], parts[1])] + [x + y for x, y in zip(parts[2], parts[3])]
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    @pytest.mark.parametrize("sizes", [(2, 3, 1, 4), (0, 2, 3, 0), (1, 0, 0, 2), (0, 0, 0, 0)])
+    @pytest.mark.parametrize("given", range(16))
+    def test_every_none_pattern(self, p, sizes, given):
+        # bit k of given says whether block k is given or None
+        rng = np.random.default_rng([p, given, *sizes])
+        blocks = [rand_mat(rng, sizes[r], sizes[c], p) if given >> k & 1 else None
+                  for k, (r, c) in enumerate(self.SLOTS)]
+        known = {dim for k, slot in enumerate(self.SLOTS) if given >> k & 1 for dim in slot}
+        if len(known) == 4:
+            m = block2x2(*blocks)
+            assert m.p == p and m.shape == (sizes[0] + sizes[1], sizes[2] + sizes[3])
+            assert m.tolist() == self.naive(blocks, sizes)
+            return
+        with pytest.raises(ShapeError) as err:
+            block2x2(*blocks)
+        assert str(err.value) == ("block2x2 cannot infer a block dimension" if given
+                                  else "block2x2 needs at least one concrete block")
+
+    @pytest.mark.parametrize("a,c,d,message", [
+        ((2, 3), (1, 2), (1, 1), "block of shape (1, 2) does not fit slot (1, 3)"),
+        ((0, 2), (1, 0), (1, 1), "block of shape (1, 0) does not fit slot (1, 2)"),
+        ((2, 0), (0, 0), (3, 1), "block of shape (3, 1) does not fit slot (0, 1)"),
+    ])
+    def test_misfit_block_names_its_slot(self, a, c, d, message):
+        with pytest.raises(ShapeError) as err:
+            block2x2(FFMatrix.zeros(*a, 3), None, FFMatrix.zeros(*c, 3), FFMatrix.zeros(*d, 3))
+        assert str(err.value) == message
+
+
 class TestInverse:
     def test_round_trip(self):
         rng = np.random.default_rng(3)
@@ -681,6 +723,28 @@ class TestPullback:
         stacked = vstack(phi1, phi2)
         assert mat_rank(stacked) == stacked.cols
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 65521]))
+    @settings(max_examples=120, deadline=None)
+    def test_basis_is_the_kernel_read_off_naive_rref(self, seed, p):
+        # the basis is one column per free column of [f | -g], in order:
+        # the free unit vector less its column of the reduced form on the pivots
+        rng = np.random.default_rng(seed)
+        rows, rank = (int(x) for x in rng.integers(0, 5, size=2))
+        f, g = (mat_mul(rand_mat(rng, rows, rank, p), rand_mat(rng, rank, int(rng.integers(0, 5)), p))
+                for _ in range(2))
+        phi1, phi2 = pullback_basis(f, g)
+        cols = f.cols + g.cols
+        form = naive_rref([x + [-y % p for y in z] for x, z in zip(f.tolist(), g.tolist())], p)
+        pivots = [next(c for c, x in enumerate(row) if x) for row in form]
+        basis = []
+        for j in (c for c in range(cols) if c not in pivots):
+            v = [int(c == j) for c in range(cols)]
+            for row, c in zip(form, pivots):
+                v[c] = -row[j] % p
+            basis.append(v)
+        assert (phi1.rows, phi2.rows, phi1.cols, phi2.cols) == (f.cols, g.cols, len(basis), len(basis))
+        assert np.vstack([phi1.data, phi2.data]).T.tolist() == basis
+
     def test_codomain_mismatch(self):
         with pytest.raises(ShapeError):
             pullback_basis(FFMatrix.zeros(2, 2, 2), FFMatrix.zeros(3, 2, 2))
@@ -693,6 +757,19 @@ class TestRandom:
             for d in [0, 1, 2, 5, 9]:
                 m = random_invertible(d, FieldSpec(p), rng)
                 assert m.shape == (d, d) and mat_rank(m) == d
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    @pytest.mark.parametrize("d", [0, 1, 2, 5, 9])
+    def test_random_invertible_is_p_l_u(self, p, d):
+        # P @ L @ U, rebuilt from the same draws in the same order
+        got = random_invertible(d, FieldSpec(p), np.random.default_rng([p, d]))
+        assert got.shape == (d, d)
+        if d:
+            rng = np.random.default_rng([p, d])
+            lower = np.tril(rng.integers(0, p, size=(d, d)), -1) + np.eye(d, dtype=np.int64)
+            upper = np.triu(rng.integers(0, p, size=(d, d)), 1) + np.diag(rng.integers(1, p, size=d))
+            perm = np.eye(d, dtype=np.int64)[rng.permutation(d)]
+            assert got.tolist() == naive_mul(perm.tolist(), naive_mul(lower.tolist(), upper.tolist(), p), p)
 
     def test_unique_invertible_1x1_gf2(self):
         rng = np.random.default_rng(23)
@@ -781,11 +858,12 @@ class TestForward:
         eliminate = Stack.eliminate
         monkeypatch.setattr(Stack, "eliminate", lambda stack: modes.append(stack.forward) or eliminate(stack))
         a = FFMatrix.identity(3, p)
-        mat_ranks([a])
-        assert modes == [True]
+        stack_pivots([a.data], p)
+        mat_rank(a)
+        assert modes == [True, True]
         kernel_basis(a)
         mat_inv(a)
-        assert modes == [True, False, False]
+        assert modes == [True, True, False, False]
 
 
 class TestColumnLimit:

@@ -91,7 +91,7 @@ def _replace_line(doc: str, old: str, new: str) -> str:
 
 
 REJECTS = [
-    ("empty document", "", None),
+    ("empty document", "", 1),
     ("bad magic", _replace_line(GOOD, "PMOD 1", "PMOD 2"), 1),
     ("missing field", _replace_line(GOOD, "field 2\n", ""), 2),
     ("composite modulus", _replace_line(GOOD, "field 2", "field 6"), 2),
@@ -118,8 +118,12 @@ REJECTS = [
     ("truncated rows", _replace_line(GOOD, "map v 1 2\n1\nEND\n", "map v 1 2\nEND\n"), 15),
     ("unknown directive", _replace_line(GOOD, "map v 1 2", "spam v 1 2"), 14),
     ("content after END", GOOD + "dim 1 1 1\n", 17),
-    ("missing vertex dim", _replace_line(GOOD, "dim 2 2 1\n", ""), None),
-    ("missing map block", _replace_line(GOOD, "map v 1 2\n1\n", ""), None),
+    # checks of the whole document fail at the END line; (2, 2) loses its
+    # dimension and both its map blocks, which would fail first at their lines
+    ("missing vertex dim", GOOD.replace("dim 2 2 1\n", "").replace("map h 2 1\n1\n", "")
+     .replace("map v 1 2\n1\n", ""), 11),
+    ("missing map block", _replace_line(GOOD, "map v 1 2\n1\n", ""), 14),
+    ("non-commuting square", _replace_line(GOOD, "map h 2 1\n1", "map h 2 1\n0"), 16),
     # int() refuses more than 4300 digits
     ("5000-digit dimension", _replace_line(GOOD, "dim 1 1 1", "dim 1 1 " + "1" * 5000), 4),
     ("5000-digit map foot", _replace_line(GOOD, "map h 1 1", "map h 1 " + "1" * 5000), 8),
@@ -153,6 +157,9 @@ REJECT_MESSAGES = {
     "4000-character entry": "line 9: bad matrix entry of 4000 characters",
     "4000-character directive": "line 14: unexpected directive of 4000 characters",
     "unknown directive": "line 14: unexpected directive 'spam'",
+    "missing vertex dim": "line 11: missing dimension for vertex (2, 2)",
+    "missing map block": "line 14: missing map block for v (1, 2)",
+    "non-commuting square": "line 16: square at (1, 1) does not commute",
 }
 
 
@@ -161,8 +168,7 @@ class TestRejection:
     def test_rejected_with_line(self, label, doc, line):
         with pytest.raises(PmodError) as err:
             parse_pmod(doc)
-        if line is not None:
-            assert err.value.line == line, str(err.value)
+        assert err.value.line == line, str(err.value)
         assert len(str(err.value)) < 120, str(err.value)[:120]
         if label in REJECT_MESSAGES:
             assert str(err.value) == REJECT_MESSAGES[label]
