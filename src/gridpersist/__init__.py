@@ -24,7 +24,6 @@ from .ffmat import (
     ShapeError,
     block2x2,
     hstack,
-    kernel_basis,
     mat_inv,
     mat_mul,
     mat_rank,

@@ -36,9 +36,8 @@ stack_pivots is the one batching policy and the one road to a rank, for
 rank_invariant, mat_rank and compression: matrices with one column count
 share a stack of up to _BATCH members, zero-padded only in rows, and on
 GF(2) packed in one call.  Padding in columns too measured slower where
-most matrices have widths of their own.  kernel_basis, pullback_basis
-and mat_inv read a reduced form, so they eliminate a stack of one,
-through _reduced.
+most matrices have widths of their own.  pullback_basis and mat_inv
+read a reduced form, so they eliminate a stack of one, through _reduced.
 
 Reduction updates every row with a nonzero in the column, forward
 elimination only the free rows.  A pivot row is never chosen again, and
@@ -457,15 +456,6 @@ def _reduced(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     stack = Stack([a], p)
     piv = stack.eliminate()[0]
     return stack.reduced()[0], piv
-
-
-def kernel_basis(a: FFMatrix) -> FFMatrix:
-    """A cols x k matrix whose columns form a basis of ker(a).
-
-    Columns follow the free columns they belong to, so the result is
-    deterministic; a @ kernel_basis(a) is zero and k = cols - rank(a).
-    """
-    return FFMatrix._wrap(_kernel(*_reduced(a.data, a.p), a.p), a.p)
 
 
 def mat_inv(a: FFMatrix) -> FFMatrix:

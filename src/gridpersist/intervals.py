@@ -13,7 +13,7 @@ sets.  The poset is graded by vertex count but is not a lattice; joins
 are taken over cover sets above a fixed interval.  The join of covers is
 the least staircase over their union (b a running minimum going up, d a
 running maximum going down), exact since every staircase containing the
-union is at least that wide; mobius builds them once per grid size.
+union is at least that wide; mobius walks them on grids taller than 2.
 """
 
 from __future__ import annotations

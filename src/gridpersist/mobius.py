@@ -1,32 +1,31 @@
 """Moebius inversion on the interval poset of a commutative grid.
 
-The poset of intervals ordered by inclusion is graded by vertex count
-but is not a lattice.  Its Moebius function nevertheless has a local
-description: mu([I, J]) is a signed count of the subsets of the covers
-of I whose join above I equals J.  Inversion of a function against the
-order (recovering g from f(I) = sum over J >= I of g(J)) therefore only
-touches joins of cover subsets, never the full segment, which keeps the
-cost per interval bounded by 2^|Cov(I)|.
+Inversion recovers g from f(I) = sum over J >= I of g(J), intervals
+ordered by inclusion.  On grids of height at most 2 it is a finite
+difference over dense arrays indexed by column 0..n + 1, zero outside the
+intervals: R_i[b, d] holds the intervals on row i alone and
+F[b1, d1, b2, d2] the two-row staircases b2 <= b1 <= d2 <= d1.  A
+two-row f sums g over b1' <= b1, d1' >= d1, b2' <= b2, d2' >= d2, so g
+is its fourfold difference, Δ_b x[b] = x[b] - x[b - 1] along each b and
+Δ_d x[d] = x[d] - x[d + 1] along each d, once F is closed to F^ on the
+two planes a difference steps onto: b2 = b1 + 1, where F^ equals its value
+at b2 = b1, and d2 = d1 + 1, where it equals its value at d1 = d2.  A
+row-1 interval [b, d] lies below every staircase whose row 1 contains
+it, so g_1 is Δ_bΔ_d R_1 less the staircases with row 1 exactly [b, d],
+(Δ_b1Δ_d1 F^)[b, d, b, b]; g_2 likewise drops (Δ_b2Δ_d2 F^)[d, d, b, d].
 
-The cover-subset joins depend only on the grid size, so they are built
-once per size as a sparse signed operator on interval indices, walking
-the subsets of the 2m + 2 cover slots depth first, one array pass per
-subset; an inversion is then one scatter-add.  The join of a cover
-subset is the least staircase over the union of its covers, since every
-staircase containing the union is at least that wide: b takes a running
-minimum going up and d a running maximum going down over the rows it
-holds.  A valid left or right move keeps the staircase condition with
-its neighbours, so this closure changes only the corners where a new row
-above (below) meets a left (right) extension of the top (bottom) row.  A
-join is found among the intervals by its padded span row: the bytes of a
-row are one opaque key, the keys of the intervals are sorted once, and
-the joins of each subset are located among them by binary search.
+Grids of height 3 or more are not reached by the CLI; there g(I) is f(I)
+plus (-1)^|S| f(join S) over the nonempty subsets S of the covers of I.
+Each cover widens one row span by one column, or starts row t + 1 at
+(b_t, b_t) or row s - 1 at (d_s, d_s).  The join of a subset is the
+least staircase over the union of its covers, since every staircase
+containing the union is at least that wide: b takes a running minimum
+going up and d a running maximum going down.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from functools import lru_cache
+from itertools import accumulate, combinations
 from typing import Iterator
 
 import numpy as np
@@ -37,127 +36,76 @@ IntervalFunction = dict[Interval, int]
 
 
 def cover_subset_joins(I: Interval, m: int, n: int) -> Iterator[tuple[int, Interval]]:
-    """Yield ((-1)^|S|, join(S)) over all nonempty subsets S of Cov(I),
-    read from the operator's entries for I."""
-    intervals = enumerate_intervals(m, n)
-    i = bisect_left(intervals, I)
-    if i == len(intervals) or intervals[i] != I:
+    """Yield ((-1)^|S|, join(S)) over all nonempty subsets S of Cov(I)."""
+    if I.t > m or I.rows[0][1] > n:
         raise ValueError(f"{I.to_string()} does not fit in a {m} x {n} grid")
-    I_idx, J_idx, sign = _mobius_operator(m, n)
-    mine = I_idx == i
-    for j, sg in zip(J_idx[mine].tolist(), sign[mine].tolist()):
-        yield sg, intervals[j]
+    spans = dict(enumerate(I.rows, I.s))
+    # (row, b, d) of each cover: its one new or widened span
+    moves = [(i, b - 1, d) for i, (b, d) in spans.items()
+             if b > 1 and (i == I.t or spans[i + 1][0] < b)]
+    moves += [(i, b, d + 1) for i, (b, d) in spans.items()
+              if d < n and (i == I.s or d < spans[i - 1][1])]
+    if I.t < m:
+        moves.append((I.t + 1, spans[I.t][0], spans[I.t][0]))
+    if I.s > 1:
+        moves.append((I.s - 1, spans[I.s][1], spans[I.s][1]))
+    for size in range(1, len(moves) + 1):
+        for subset in combinations(moves, size):
+            joined = dict(spans)
+            for i, b, d in subset:
+                b0, d0 = joined.get(i, (b, d))
+                joined[i] = (min(b0, b), max(d0, d))
+            s, t = min(joined), max(joined)
+            bs = accumulate((joined[i][0] for i in range(s, t + 1)), min)
+            ds = list(accumulate((joined[i][1] for i in range(t, s - 1, -1)), max))
+            yield (-1) ** size, Interval(s, t, tuple(zip(bs, reversed(ds))))
 
 
-def _cover_moves(b: np.ndarray, d: np.ndarray, n: int):
-    """The cover moves of each padded staircase, one column per slot.
-
-    Returns four (N, 2m + 2) arrays: whether slot `slot` of staircase k
-    is a valid move, and the 0-based row and new (b, d) span it writes.
-    """
-    N, m = b.shape
-    rows = np.arange(1, m + 1)
-    inside = d > 0
-    s = inside.argmax(axis=1) + 1
-    t = m - inside[:, ::-1].argmax(axis=1)
-    b_above = np.column_stack([b[:, 1:], np.full(N, n + 1, dtype=b.dtype)])
-    d_below = np.column_stack([np.zeros(N, dtype=b.dtype), d[:, :-1]])
-    b_t, d_s = b[np.arange(N), t - 1], d[np.arange(N), s - 1]
-    valid = np.column_stack([
-        inside & (b > 1) & ((rows == t[:, None]) | (b_above < b)),
-        inside & (d < n) & ((rows == s[:, None]) | (d < d_below)),
-        t < m,
-        s > 1,
-    ])
-    # invalid above/below moves get any row in range; they are never applied
-    move_row = np.column_stack([np.tile(rows - 1, (N, 2)), np.minimum(t, m - 1), s - 2])
-    move_b = np.column_stack([b - 1, b, b_t, d_s])
-    move_d = np.column_stack([d, d + 1, b_t, d_s])
-    return valid, move_row, move_b, move_d
-
-
-def _span_keys(b: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """One opaque key per padded staircase: the bytes of its (b, d) span row."""
-    rows = np.hstack([b, d])
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-
-
-def _slot_subsets(moves, first: int, k: np.ndarray, b: np.ndarray, d: np.ndarray, sign: int):
-    """Depth first over the subsets that add slots >= first: yield each one's
-    intervals (those of k with all its moves valid), their spans with its
-    moves applied, not yet closed, and its sign."""
-    valid, move_row, move_b, move_d = moves
-    for slot in range(first, valid.shape[1]):
-        keep = valid[k, slot]
-        if not keep.any():
-            continue
-        ck, cb, cd = k[keep], b[keep], d[keep]
-        at = (np.arange(len(ck)), move_row[ck, slot])
-        np.minimum.at(cb, at, move_b[ck, slot])
-        np.maximum.at(cd, at, move_d[ck, slot])
-        del keep, at  # not held while the descendants are walked
-        yield ck, cb, cd, -sign
-        yield from _slot_subsets(moves, slot + 1, ck, cb, cd, -sign)
-
-
-@lru_cache(maxsize=None)
-def _mobius_operator(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One (I_idx, J_idx, sign) entry per nonempty cover subset S of I.
-
-    J is the join of S and sign is (-1)^|S|, so summing the signs of
-    the entries of a pair gives mu([I, J]) for I < J.  Indices are
-    positions in enumerate_intervals(m, n), entries in no set order.
-
-    Interval k is held as padded row spans (b[k, i-1], d[k, i-1]) for
-    rows i = 1..m, with (n + 1, 0) outside its rows, so the union of
-    covers is the elementwise min of b and max of d over its members.  Each
-    interval has at most 2m + 2 cover moves, one row span widened each:
-    slot r extends row r + 1 left, slot m + r extends it right, slot 2m
-    starts row t + 1 at (b_t, b_t) and slot 2m + 1 starts row s - 1 at
-    (d_s, d_s).  Each subset of slots (_slot_subsets) closes its spans
-    into the least staircase over their rows and fills its own slice of
-    the entries, whose number is known before the walk.
-    """
-    intervals = enumerate_intervals(m, n)
-    pad = ((n + 1, 0),)
-    spans = np.array([pad * (I.s - 1) + I.rows + pad * (m - I.t) for I in intervals], dtype=np.int32)
-    b, d = spans[:, :, 0], spans[:, :, 1]
-    moves = _cover_moves(b, d, n)
-    size = int(((1 << moves[0].sum(axis=1)) - 1).sum())
-    I_idx, J_idx = np.empty((2, size), dtype=np.int32)
-    sign = np.empty(size, dtype=np.int8)
-    keys = _span_keys(b, d)
-    order = np.argsort(keys)
-    keys = keys[order]
-    end = 0
-    for k, kb, kd, sg in _slot_subsets(moves, 0, np.arange(len(b), dtype=np.int32), b, d, 1):
-        jb = np.minimum.accumulate(kb, axis=1)
-        jd = np.maximum.accumulate(kd[:, ::-1], axis=1)[:, ::-1]
-        jb[kd == 0], jd[kd == 0] = n + 1, 0
-        stop = end + len(k)
-        I_idx[end:stop], sign[end:stop] = k, sg
-        J_idx[end:stop] = order[np.searchsorted(keys, _span_keys(jb, jd))]
-        end = stop
-    operator = (I_idx, J_idx, sign)
-    for a in operator:
-        a.flags.writeable = False  # shared by every later call through the cache
-    return operator
+def _difference(x: np.ndarray, b_axes: tuple[int, ...], d_axes: tuple[int, ...]) -> np.ndarray:
+    """Apply Δ_b along each of b_axes and Δ_d along each of d_axes, in place."""
+    for axis, step in [(a, 1) for a in b_axes] + [(a, -1) for a in d_axes]:
+        y = np.moveaxis(x, axis, 0)[::step]
+        np.subtract(y[1:], y[:-1], out=y[1:])
+    return x
 
 
 def mobius_invert(f: IntervalFunction, m: int, n: int) -> IntervalFunction:
     """Inverse of the zeta action: g with f(I) = sum_{J >= I} g(J).
 
-    g(I) = f(I) + sum over nonempty cover subsets S of (-1)^|S| f(join S),
-    applied through the cached operator of the m x n grid.  Values are
-    exact integers; f must be total on the canonical interval list.
+    Finite differences on grids of height at most 2, sums over the cover
+    subset joins on taller ones.  Values are exact integers; f must be
+    total on the canonical interval list.
     """
     intervals = enumerate_intervals(m, n)
     values = [f[I] for I in intervals]
-    I_idx, J_idx, sign = _mobius_operator(m, n)
-    # |g| <= |f| times the 2^(2m+2) cover subsets; beyond int64, Python ints
-    exact = max(map(abs, values)) * 4 ** (m + 1) < 2**63
-    g = np.array(values, dtype=np.int64 if exact else object)
-    terms = g[J_idx]  # read before any update: f(join S) for every entry
-    terms *= sign
-    np.add.at(g, I_idx, terms)
+    if m > 2:
+        return {I: v + sum(sign * f[J] for sign, J in cover_subset_joins(I, m, n))
+                for I, v in zip(intervals, values)}
+    # every partial difference is a signed sum of at most 16 values of f;
+    # beyond int64, Python ints
+    dtype = np.min_scalar_type(-16 * int(max(map(abs, values))) - 1)
+    values = np.array(values, dtype=dtype)
+    k = np.arange(n + 2)
+    b, d = k[:, None], k[None, :]
+    row = (1 <= b) & (b <= d) & (d <= n)
+    r = row.sum()
+    # C order on the R_1, F and R_2 cells is the canonical interval order
+    R1 = np.zeros(row.shape, dtype)
+    R1[row] = values[:r]
+    if m == 1:
+        return dict(zip(intervals, _difference(R1, (0,), (1,))[row].tolist()))
+    b1, d1, b2, d2 = np.ix_(k, k, k, k)
+    stair = (1 <= b2) & (b2 <= b1) & (b1 <= d2) & (d2 <= d1) & (d1 <= n)
+    F, R2 = np.zeros(stair.shape, dtype), np.zeros(row.shape, dtype)
+    F[stair] = values[r:-r]
+    R2[row] = values[-r:]
+    # the b plane first, so the d plane copies the corner where both apply
+    F[k[:-1], :, k[1:], :] = F[k[:-1], :, k[:-1], :]
+    F[:, k[:-1], :, k[1:]] = F[:, k[1:], :, k[1:]]
+    # the corner slices F^[x, y, z, z] and F^[z, z, x, y], before F is differenced in place
+    top = _difference(F[:, :, k, k], (0,), (1,))[b, d, b]
+    bottom = _difference(F[k, k], (1,), (2,))[d, b, d]
+    g1 = _difference(R1, (0,), (1,)) - top
+    g2 = _difference(R2, (0,), (1,)) - bottom
+    g = np.concatenate([g1[row], _difference(F, (0, 2), (1, 3))[stair], g2[row]])
     return dict(zip(intervals, g.tolist()))

@@ -7,9 +7,10 @@ arrows off the module, composes path maps with naive_mul, classifies
 shapes from the vertex set and ranks with naive_rank; FFMatrix only
 holds its matrices.  The poset helpers are interval operations only the
 tests use; the covers and their joins are walked here one subset at a
-time, apart from the package's Moebius operator, which builds them all
-at once.  mu_prime alone reads that operator, so the tests can check it
-against brute_force_mobius.  block_multiplicity reads shapes off the
+time from tagged cover candidates, apart from the package's
+cover_subset_joins, which applies cover moves to row spans.  mu_prime
+alone reads the package's walk, so the tests can check it against
+brute_force_mobius.  block_multiplicity reads shapes off the
 vertex set too.  interval_module and direct_sum build the modules whose
 decomposition a test knows in advance; dual and half_turn give the
 module and intervals of the duality check, which needs no oracle.
@@ -210,7 +211,7 @@ def join_cover_subset(I: Interval, tagged: Sequence[tuple[str, Interval]]) -> In
 
 def cover_subset_joins(I: Interval, m: int, n: int) -> Iterator[tuple[int, Interval]]:
     """Yield (|S|, join(S)) over all nonempty subsets S of Cov(I), one
-    subset at a time; the reference for the package's Moebius operator."""
+    subset at a time; the reference for the package's cover_subset_joins."""
     tagged = cover_candidates(I, m, n)
     for size in range(1, len(tagged) + 1):
         for subset in combinations(tagged, size):
@@ -293,8 +294,8 @@ def cover_sum_inversion(f: dict[Interval, int], m: int, n: int) -> dict[Interval
 
 
 def mu_prime(I: Interval, J: Interval, m: int, n: int) -> int:
-    """Moebius function of the segment [I, J], read from the package's
-    operator through gridpersist.mobius.cover_subset_joins.
+    """Moebius function of the segment [I, J], summed over the package's
+    gridpersist.mobius.cover_subset_joins.
 
     Equals 1 when I = J, otherwise the sum of (-1)^|S| over nonempty
     subsets S of Cov(I) whose join above I is J; 0 when no such subset

@@ -22,9 +22,9 @@ from gridpersist.ffmat import (
     Stack,
     _echelon_gfp,
     _kernel,
+    _reduced,
     block2x2,
     hstack,
-    kernel_basis,
     mat_inv,
     mat_mul,
     mat_rank,
@@ -53,6 +53,12 @@ def generic_reduced(arr, p):
     a = np.asarray(arr, dtype=np.uint32)[None].copy()
     piv = _echelon_gfp(a, p, a.shape[2], False)[0]
     return piv, a[0].astype(np.int64)
+
+
+def kernel_basis(a):
+    """A cols x k matrix whose columns are a basis of ker(a), from the
+    reduced form that pullback_basis and mat_inv read."""
+    return FFMatrix._wrap(_kernel(*_reduced(a.data, a.p), a.p), a.p)
 
 
 def generic_kernel(a):

@@ -2,19 +2,14 @@
 
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-import gridpersist
 from gridpersist import mobius
 from gridpersist.intervals import Interval, enumerate_intervals
-from gridpersist.mobius import _mobius_operator, mobius_invert
+from gridpersist.mobius import mobius_invert
 from oracles import (
     brute_force_mobius,
     cover_subset_joins,
@@ -151,13 +146,25 @@ SMALL_GRIDS = [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12
 
 
 class TestOperator:
-    # 16 x 2 pads every span row to 16 rows, the widest keys the operator looks up
-    @pytest.mark.parametrize("m,n", SMALL_GRIDS + [(2, 12), (3, 5), (16, 2)])
+    # 16 x 2 is the tallest grid here, walked through cover_subset_joins
+    @pytest.mark.parametrize("m,n", SMALL_GRIDS + [(2, 12), (2, 18), (3, 5), (16, 2)])
     def test_equals_cover_sum_definition(self, m, n):
         # values near +-2^40 make any float rounding or int32 wrap visible
         rng = random.Random(1000 * m + n)
         f = {I: rng.choice((-1, 1)) * (2**40 + rng.randint(-2**20, 2**20))
              for I in enumerate_intervals(m, n)}
+        g = mobius_invert(f, m, n)
+        assert g == cover_sum_inversion(f, m, n)
+        assert all(type(v) is int for v in g.values())
+
+    # 16 max|f| on each side of the int8, int16, int32 and int64 bounds, and far past them
+    @pytest.mark.parametrize("top", [0, 7, 8, 2**11 - 1, 2**11, 2**27 - 1, 2**27,
+                                     2**59 - 1, 2**59, 2**70])
+    @pytest.mark.parametrize("m,n", [(1, 9), (2, 1), (2, 6), (2, 12), (3, 4)])
+    def test_exact_at_the_dtype_edges(self, m, n, top):
+        # every value +-max|f|, the largest partial differences the bound allows
+        rng = random.Random(top + 100 * m + n)
+        f = {I: rng.choice((-top, top)) for I in enumerate_intervals(m, n)}
         g = mobius_invert(f, m, n)
         assert g == cover_sum_inversion(f, m, n)
         assert all(type(v) is int for v in g.values())
@@ -169,8 +176,6 @@ class TestOperator:
         intervals = enumerate_intervals(m, n)
         want = Counter((I, join, (-1) ** size)
                        for I in intervals for size, join in cover_subset_joins(I, m, n))
-        I_idx, J_idx, sign = (a.tolist() for a in _mobius_operator(m, n))
-        assert Counter((intervals[a], intervals[b], s) for a, b, s in zip(I_idx, J_idx, sign)) == want
         assert Counter((I, join, s) for I in intervals
                        for s, join in mobius.cover_subset_joins(I, m, n)) == want
 
@@ -189,40 +194,5 @@ class TestOperator:
         assert mobius_invert(f, m, n) == cover_sum_inversion(f, m, n)
 
     def test_one_by_one_grid_has_no_covers(self):
-        I_idx, J_idx, sign = _mobius_operator(1, 1)
-        assert len(I_idx) == len(J_idx) == len(sign) == 0
+        assert list(mobius.cover_subset_joins(iv("1..1:[1,1]"), 1, 1)) == []
         assert mobius_invert({iv("1..1:[1,1]"): 7}, 1, 1) == {iv("1..1:[1,1]"): 7}
-
-    @pytest.mark.parametrize("m,n", [(1, 5), (2, 3), (2, 4), (3, 3)])
-    def test_entries_sum_to_mu(self, m, n):
-        intervals = enumerate_intervals(m, n)
-        mu = Counter()
-        for a, b, s in zip(*_mobius_operator(m, n)):
-            mu[(intervals[a], intervals[b])] += int(s)
-        table = brute_force_mobius(m, n)
-        assert {k: v for k, v in mu.items() if v} == {
-            (I, J): v for (I, J), v in table.items() if I != J and v}
-
-    def test_built_once_per_grid_size(self):
-        _mobius_operator.cache_clear()
-        f = {I: 1 for I in enumerate_intervals(2, 5)}
-        for _ in range(3):
-            mobius_invert(f, 2, 5)
-        mobius_invert({I: 1 for I in enumerate_intervals(3, 2)}, 3, 2)
-        info = _mobius_operator.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
-
-    def test_compact_and_read_only(self):
-        I_idx, J_idx, sign = _mobius_operator(2, 6)
-        assert (I_idx.dtype.itemsize, J_idx.dtype.itemsize, sign.dtype.itemsize) == (4, 4, 1)
-        with pytest.raises(ValueError):
-            sign[0] = 0
-
-    def test_cli_import_builds_no_operator(self):
-        src = str(Path(gridpersist.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        code = ("import gridpersist.cli, gridpersist.mobius as m; "
-                "print(m._mobius_operator.cache_info().currsize)")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.strip() == "0"
