@@ -15,6 +15,7 @@ from .approximation import (
     negative_part,
     positive_part,
     rank_of_sum,
+    signed_rank_invariant,
 )
 from .compression import SsShape, classify_ss, compressed_multiplicity_function
 from .ffmat import (

@@ -7,6 +7,11 @@ approximation of the module.  For interval-decomposable input it
 recovers the exact decomposition; in general it preserves the whole
 rank invariant (and with it the dimension vector), at the cost of
 possibly negative coefficients.
+
+An interval module has rank one along src <= dst exactly when the
+interval holds src and dst, so the signed ranks of a sum at every pair
+are one weighted Gram product of the intervals' vertex-membership
+matrix (signed_rank_invariant); rank_of_sum is the per-pair definition.
 """
 
 from __future__ import annotations
@@ -15,8 +20,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 from .compression import compressed_multiplicity_function
-from .grid import PersistenceModule
+from .grid import Grid, PersistenceModule
 from .intervals import Interval, Vertex, interval_contains_rectangle
 from .mobius import mobius_invert
 
@@ -77,6 +84,32 @@ def rank_of_sum(s: SignedIntervalSum, src: Vertex, dst: Vertex) -> int:
     rank is the coefficient sum over such intervals.
     """
     return sum(c for I, c in s.coeffs.items() if interval_contains_rectangle(I, src, dst))
+
+
+def signed_rank_invariant(s: SignedIntervalSum) -> dict[tuple[Vertex, Vertex], int]:
+    """rank_of_sum(s, src, dst) for every comparable pair src <= dst,
+    keyed in Grid(s.m, s.n).comparable_pairs() order, as rank_invariant.
+
+    An interval is convex: with src and dst it holds every u with
+    src <= u <= dst, so it contains the rectangle spanned by them exactly
+    when it holds both ends.  The signed rank at (src, dst) is therefore
+    sum_I c_I [src in I] [dst in I], entry (src, dst) of G = (X^T c) X,
+    X the 0/1 matrix with a row per interval and a column per vertex.
+    G is int64 while no sum can reach 2^62, else exact Python ints.
+    """
+    m, n = s.m, s.n
+    coeffs = list(s.coeffs.values())
+    dtype = np.int64 if len(coeffs) * max(map(abs, coeffs), default=0) < 2**62 else object
+    # vertex (i, j) is column (i - 1) n + j - 1
+    x = np.zeros((len(coeffs), m * n), dtype=dtype)
+    for k, I in enumerate(s.coeffs):
+        for i, (b, d) in enumerate(I.rows, I.s):
+            x[k, (i - 1) * n + b - 1:(i - 1) * n + d] = 1
+    gram = (x.T * np.array(coeffs, dtype=dtype)) @ x
+    # the pairs run by src, then by dst in vertex order: the C order of the comparable cells
+    row, col = np.divmod(np.arange(m * n), n)
+    comparable = (row[:, None] <= row) & (col[:, None] <= col)
+    return dict(zip(Grid(m, n).comparable_pairs(), gram[comparable].tolist()))
 
 
 def l1_norm(f: Mapping[Interval, int]) -> int:

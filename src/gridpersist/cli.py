@@ -15,7 +15,7 @@ import statistics
 import sys
 import time
 
-from .approximation import interval_approximation, rank_of_sum
+from .approximation import interval_approximation, signed_rank_invariant
 from .compression import MAX_HEIGHT, compressed_multiplicity_function
 from .ffmat import GF2, FieldSpec
 from .generators import (
@@ -30,6 +30,9 @@ from .intervals import count_intervals, enumerate_intervals
 from .mobius import mobius_invert
 from . import pmod
 from .pmod import PmodError, format_interval_function, format_signed_sum, print_pmod
+
+# perfbench/tracer.py patches this name on this module; nothing here calls it
+from .approximation import rank_of_sum  # noqa: F401
 
 USAGE_ERROR = 1
 PARSE_ERROR = 2
@@ -139,8 +142,9 @@ def cmd_verify(args) -> tuple[int, str]:
     module = _read_module(args.input)
     approx = interval_approximation(module)
     ranks = rank_invariant(module)
+    signed = signed_rank_invariant(approx)
     for (src, dst), r in ranks.items():
-        got = rank_of_sum(approx, src, dst)
+        got = signed[(src, dst)]
         if got != r:
             return VERIFY_MISMATCH, f"MISMATCH rank at {src} -> {dst}: module {r}, approximation {got}\n"
     # the pairs (v, v) include the dimension vector: rank M(v -> v) = dim M_v

@@ -93,6 +93,7 @@ starting from V1.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -149,14 +150,6 @@ def classify_ss(I: Interval) -> SsShape:
     else:
         kind = TWO_SOURCES_TWO_SINKS if t1 else TWO_SOURCES_ONE_SINK
     return SsShape(kind, s1, t2, s2, t1)
-
-
-def _profile(piv: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """counts[k, m] = rank Y[:rows[k], :m] for m = 0..cols, from the pivot
-    rows piv (-1 for none) of one member Y of an eliminated stack."""
-    counts = np.zeros((len(rows), len(piv) + 1), dtype=np.int32)
-    np.cumsum((piv >= 0) & (piv < rows[:, None]), axis=1, dtype=np.int32, out=counts[:, 1:])
-    return counts
 
 
 def _image_step(images: list[np.ndarray], block: np.ndarray, p: int) -> tuple[list, list, np.ndarray]:
@@ -242,19 +235,28 @@ class _GroupedRanks:
 
     def _sink_ranks(self, module: PersistenceModule, j: int, pivots: Iterator[np.ndarray]):
         """prof of the sink t = (2, j), from the rank profiles of its
-        members, whose pivot rows are the next ones pivots yields."""
+        members, whose pivot rows are the next ones pivots yields.
+
+        The k members rev(U) and [H ; rev(U)] all have the dim M_(1, j)
+        columns of V1, so their pivot rows stack into one (k, cols) array.
+        Each member's row counts r, h for its H and h + dims[t] - c for
+        each c, form a (k, j + 2) array, and one cumsum over the
+        comparison of the two gives every rank Y[:r, :m]: the columns
+        before m whose pivot row is above r.
+        """
         g, dims = module.grid, module.dims
         s, t = (1, j), (2, j)
-        heights = [0] + [dims[(1, d1)] for d1 in range(j + 1, g.n + 1)]
+        heights = np.array([0] + [dims[(1, d1)] for d1 in range(j + 1, g.n + 1)])[:, None]
+        piv = np.stack(list(islice(pivots, len(heights))))[:, None, :]
         c = np.array(self.rect[t])
         c1 = self.rect[s][1:]
-        self.prof[t] = []
-        # zip draws from heights first, so it takes only this sink's pivots
-        for h, piv in zip(heights, pivots):
-            counts = _profile(piv, np.concatenate(([h], h + dims[t] - c)))
-            # c + rank [H ; U[c:]][:, :c1] - rank H[:, :c1], H empty for B;
-            # row b1 - 1 holds the values of s1 = (1, b1)
-            self.prof[t].append((c[:, None] + counts[1:, c1] - counts[0, c1]).T.tolist())
+        # counts[k, x, m] = rank Y_k[:rows[k, x], :m], rows[k] = [h, h + dims[t] - c]
+        rows = np.hstack([heights, heights + dims[t] - c])[:, :, None]
+        counts = np.zeros((len(heights), j + 2, piv.shape[2] + 1), dtype=np.int32)
+        np.cumsum((piv >= 0) & (piv < rows), axis=2, dtype=np.int32, out=counts[:, :, 1:])
+        # c + rank [H ; U[c:]][:, :c1] - rank H[:, :c1], H empty for B;
+        # row b1 - 1 of each member holds the values of s1 = (1, b1)
+        self.prof[t] = (c[:, None] + counts[:, 1:, c1] - counts[:, :1, c1]).transpose(0, 2, 1).tolist()
 
     def value(self, I: Interval) -> int:
         """rect[t2][b1] for I on one row, else rank [A | W] - rank W +

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
+import numpy as np
+
 from .ffmat import FFMatrix, FieldSpec, ShapeError, mat_inv, mat_mul, stack_pivots
 
 # perfbench/tracer.py patches this name on this module; nothing here calls it
@@ -160,11 +162,15 @@ def path_map_table(module: PersistenceModule) -> dict[tuple[Vertex, Vertex], FFM
 def rank_invariant(module: PersistenceModule) -> dict[tuple[Vertex, Vertex], int]:
     """rank M(src -> dst) for every comparable pair src <= dst.
 
-    The path maps are eliminated together by stack_pivots.
+    The path maps are eliminated together by stack_pivots; each rank is
+    a difference of one cumulative pivot count at its path map's column
+    ends, which is 0 where the map has no columns.
     """
     table = path_map_table(module)
     pivots = stack_pivots([a.data for a in table.values()], module.field.p)
-    return {pair: int((piv >= 0).sum()) for pair, piv in zip(table, pivots)}
+    held = np.concatenate(([0], np.cumsum(np.concatenate(pivots) >= 0)))
+    ends = np.cumsum([0] + [piv.size for piv in pivots])
+    return dict(zip(table, np.diff(held[ends]).tolist()))
 
 
 def dimension_vector(module: PersistenceModule) -> dict[Vertex, int]:

@@ -14,6 +14,8 @@ brute_force_mobius.  block_multiplicity reads shapes off the
 vertex set too.  interval_module and direct_sum build the modules whose
 decomposition a test knows in advance; dual and half_turn give the
 module and intervals of the duality check, which needs no oracle.
+LoopedSinkRanks reads each sink's rank profiles one member at a time,
+the reference for the package's one cumulative sum per sink.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from gridpersist.compression import (
     POINT,
     TWO_SOURCES_ONE_SINK,
     TWO_SOURCES_TWO_SINKS,
+    _GroupedRanks,
 )
 from gridpersist import mobius
 from gridpersist.ffmat import FFMatrix, FieldSpec, ShapeError, block2x2, hstack, vstack
@@ -364,6 +367,32 @@ def block_multiplicity(table, I: Interval) -> int:
     s1, s2, t1, t2 = verts
     a, b, c = table[(s2, t2)], table[(s1, t2)], table[(s1, t1)]
     return rank(block2x2(a, b, None, c)) + rank(b) - rank(vstack(b, c)) - rank(hstack(a, b))
+
+
+class LoopedSinkRanks(_GroupedRanks):
+    """compression._GroupedRanks with each sink's prof read one member at
+    a time: every member's rank profile from its own pivot rows, the
+    per-member loop that the package's single cumsum per sink replaced."""
+
+    def _sink_ranks(self, module: PersistenceModule, j: int, pivots: Iterator[np.ndarray]):
+        g, dims = module.grid, module.dims
+        s, t = (1, j), (2, j)
+        heights = [0] + [dims[(1, d1)] for d1 in range(j + 1, g.n + 1)]
+        c = np.array(self.rect[t])
+        c1 = self.rect[s][1:]
+        self.prof[t] = []
+        # zip draws from heights first, so it takes only this sink's pivots
+        for h, piv in zip(heights, pivots):
+            counts = member_profile(piv, np.concatenate(([h], h + dims[t] - c)))
+            self.prof[t].append((c[:, None] + counts[1:, c1] - counts[0, c1]).T.tolist())
+
+
+def member_profile(piv: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """counts[k, m] = rank Y[:rows[k], :m] for m = 0..cols, from the pivot
+    rows piv (-1 for none) of one member Y of an eliminated stack."""
+    counts = np.zeros((len(rows), len(piv) + 1), dtype=np.int32)
+    np.cumsum((piv >= 0) & (piv < rows[:, None]), axis=1, dtype=np.int32, out=counts[:, 1:])
+    return counts
 
 
 # --- modules with a known decomposition --------------------------------

@@ -12,6 +12,7 @@ from gridpersist.approximation import (
     negative_part,
     positive_part,
     rank_of_sum,
+    signed_rank_invariant,
 )
 from gridpersist.compression import compressed_multiplicity_function
 from gridpersist.ffmat import GF2, FieldSpec
@@ -28,7 +29,7 @@ from gridpersist.grid import (
     format_dimvec,
     rank_invariant,
 )
-from gridpersist.intervals import Interval
+from gridpersist.intervals import Interval, enumerate_intervals, interval_contains_rectangle
 from gridpersist.mobius import mobius_invert
 from oracles import direct_sum, interval_module
 
@@ -166,3 +167,62 @@ class TestRankOfSum:
         assert rank_of_sum(s, (2, 1), (2, 2)) == 1
         assert rank_of_sum(s, (1, 2), (2, 3)) == 2
         assert rank_of_sum(s, (1, 1), (1, 1)) == 0
+
+
+def random_signed_sum(m, n, terms, rng, big=1):
+    """A formal sum of up to `terms` random intervals of the m x n grid,
+    coefficients drawn from +-1..3 and scaled by big."""
+    intervals = enumerate_intervals(m, n)
+    coeffs = {}
+    for _ in range(terms):
+        I = intervals[int(rng.integers(len(intervals)))]
+        coeffs[I] = int(rng.choice([-3, -2, -1, 1, 2, 3])) * big
+    return SignedIntervalSum(m, n, coeffs)
+
+
+class TestSignedRankInvariant:
+    """signed_rank_invariant is rank_of_sum at every pair, from one product."""
+
+    @staticmethod
+    def per_pair(s):
+        return {(src, dst): rank_of_sum(s, src, dst) for src, dst in Grid(s.m, s.n).comparable_pairs()}
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_random_sums(self, m):
+        # on 3 x n a rectangle spans a middle row the pair does not touch
+        rng = make_rng(2700 + m)
+        for n in (1, 2, 4, 7):
+            for terms in (1, 5, 20):
+                s = random_signed_sum(m, n, terms, rng)
+                got = signed_rank_invariant(s)
+                assert list(got.items()) == list(self.per_pair(s).items())
+
+    def test_empty_sum(self):
+        s = SignedIntervalSum(2, 3)
+        assert signed_rank_invariant(s) == dict.fromkeys(Grid(2, 3).comparable_pairs(), 0)
+
+    def test_beyond_int64_stays_exact(self):
+        s = random_signed_sum(2, 4, 12, make_rng(2710), big=2**70)
+        got = signed_rank_invariant(s)
+        assert got == self.per_pair(s)
+        assert all(type(r) is int for r in got.values())
+        assert max(map(abs, got.values())) >= 2**70
+
+    def test_equals_rank_invariant_in_its_order(self):
+        m = random_module(4, 2, FieldSpec(3), make_rng(2720))
+        got = signed_rank_invariant(interval_approximation(m))
+        assert list(got.items()) == list(rank_invariant(m).items())
+
+
+class TestContainmentIsConvexity:
+    """An interval holds the rectangle of src <= dst exactly when it holds
+    src and dst, which is what lets signed_rank_invariant read membership."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_interval_and_pair(self, m, n):
+        pairs = list(Grid(m, n).comparable_pairs())
+        for I in enumerate_intervals(m, n):
+            vs = I.vertices()
+            for src, dst in pairs:
+                assert interval_contains_rectangle(I, src, dst) == (src in vs and dst in vs), (I, src, dst)

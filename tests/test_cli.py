@@ -13,7 +13,7 @@ import pytest
 
 import gridpersist
 from gridpersist import cli, compression, grid
-from gridpersist.approximation import SignedIntervalSum
+from gridpersist.approximation import SignedIntervalSum, signed_rank_invariant
 from gridpersist.cli import build_parser, main
 from gridpersist.ffmat import FieldSpec
 from gridpersist.generators import make_rng, random_interval_decomposable
@@ -292,6 +292,13 @@ class TestApprox:
             assert code == 1 and "unrecognized arguments" in err
 
 
+def off_by_one_at_last_pair(s):
+    """cli.signed_rank_invariant with one value, the last pair's, off by one."""
+    ranks = signed_rank_invariant(s)
+    last = next(reversed(ranks))
+    return {**ranks, last: ranks[last] + 1}
+
+
 class TestVerify:
     def test_pass_line(self, example_file, capsys):
         code, out, _ = run_cli(capsys, "verify", example_file)
@@ -314,8 +321,7 @@ class TestVerify:
         assert len(built) == 1
 
     def test_rank_mismatch_exits_3(self, example_file, capsys, monkeypatch):
-        rank_of_sum = cli.rank_of_sum
-        monkeypatch.setattr(cli, "rank_of_sum", lambda s, src, dst: rank_of_sum(s, src, dst) + 1)
+        monkeypatch.setattr(cli, "signed_rank_invariant", off_by_one_at_last_pair)
         code, out, _ = run_cli(capsys, "verify", example_file)
         assert code == 3
         assert out.startswith("MISMATCH rank at ") and out.count("\n") == 1
@@ -511,8 +517,7 @@ class TestVerifyOutput:
         assert code == 0 and out == want
 
     def test_mismatch_line_goes_to_the_file(self, example_file, tmp_path, capsys, monkeypatch):
-        rank_of_sum = cli.rank_of_sum
-        monkeypatch.setattr(cli, "rank_of_sum", lambda s, src, dst: rank_of_sum(s, src, dst) + 1)
+        monkeypatch.setattr(cli, "signed_rank_invariant", off_by_one_at_last_pair)
         _, want, _ = run_cli(capsys, "verify", example_file)
         dest = tmp_path / "verdict.txt"
         code, out, _ = run_cli(capsys, "verify", example_file, "--output", str(dest))

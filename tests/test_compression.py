@@ -34,6 +34,7 @@ from gridpersist.grid import (
 )
 from gridpersist.intervals import Interval, enumerate_intervals
 from oracles import (
+    LoopedSinkRanks,
     QuiverRep,
     almost_split_fixtures,
     block_multiplicity,
@@ -272,6 +273,26 @@ class TestProfileRows:
                 assert len(ranks.prof[t2]) == 7 - j
                 for rows in ranks.prof[t2]:
                     assert [r[b1] for b1, r in enumerate(rows, 1)] == ranks.rect[t2][1:]
+
+
+class TestSinkProfiles:
+    """prof from one cumsum per sink equals the per-member profile loop."""
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_against_per_member_loop(self, p, n):
+        rng = make_rng(2700 + 10 * n + p % 7)
+        field = FieldSpec(p)
+        modules = [random_module(n, d, field, rng) for d in (0, 1, 3)]
+        # zero spaces mid-row and at the ends of a row
+        mid = (n + 1) // 2
+        gaps = [[(1, mid)], [(2, mid)]] + ([[(1, 1), (2, n)], [(2, 1), (1, n)]] if n > 1 else [])
+        modules += [module_with_gaps(n, 2 * n + 1, g, field, rng) for g in gaps]
+        # disguised sums, their dimensions unequal
+        modules += [random_interval_decomposable(2, n, k, field, rng)[0] for k in (n, 3 * n)]
+        for m in modules:
+            assert compression._GroupedRanks(m).prof == LoopedSinkRanks(m).prof
+        assert any(len(set(m.dims.values())) > 1 for m in modules[-2:])
 
 
 class TestArrowsOnly:

@@ -67,7 +67,8 @@ def test_traced_verify_job(tracer_module, tmp_path, capsys):
     metrics = tracer.job_metrics(0)
     assert metrics["mobius.invert_s"] > 0
     assert metrics["intervals.count"] == len(enumerate_intervals(2, 3))
-    assert metrics["approximation.rank_of_sum.calls"] > 0
+    # verify reads the signed ranks from one product, which the tracer does not wrap
+    assert metrics["approximation.rank_of_sum.calls"] == 0
 
 
 def test_traced_approx_job(tracer_module, tmp_path, capsys):
