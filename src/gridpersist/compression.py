@@ -80,9 +80,12 @@ rank [A | W] of the sink t.  So a 2 x n module takes n image
 eliminations, each a stack of the f V of both rows.  The profile members of all n sinks of
 row 2 then go to one ffmat.stack_pivots call: the members of the sink
 (2, j) have the dim M_(1, j) columns of V1, so on a module with equal
-dimensions all sinks share stacks: n (n + 1) / 2 members in
-ceil(n (n + 1) / (2 _BATCH)) eliminations, not n.  The members are held
-as uint16, which holds every residue since p < 2^16.
+dimensions all sinks share stacks: n (n + 1) / 2 members in as many
+eliminations as ffmat._STACK_BYTES needs for them, not n.  On GF(2) that
+is one up to n = 39 at d = 100 and up to n = 178 at d = 10.  The members
+are held as uint16, which holds every residue since p < 2^16.  One
+cumulative sum over the pivot rows of all of them gives every profile
+count, and prof[t] takes its slice of it.
 
 Every matrix multiplied takes one arrow at a time: f is the horizontal
 arrow into t, T M(s -> t) is the vertical arrow at s as the walk leaves
@@ -93,8 +96,7 @@ starting from V1.
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,7 +151,8 @@ def classify_ss(I: Interval) -> SsShape:
         kind = ONE_SOURCE_TWO_SINKS if t1 else POINT if s1 == t2 else ARROW
     else:
         kind = TWO_SOURCES_TWO_SINKS if t1 else TWO_SOURCES_ONE_SINK
-    return SsShape(kind, s1, t2, s2, t1)
+    # tuple.__new__ skips the NamedTuple constructor's keyword handling
+    return tuple.__new__(SsShape, (kind, s1, t2, s2, t1))
 
 
 def _image_step(images: list[np.ndarray], block: np.ndarray, p: int) -> tuple[list, list, np.ndarray]:
@@ -166,7 +169,8 @@ def _image_step(images: list[np.ndarray], block: np.ndarray, p: int) -> tuple[li
     """
     lim = max(fv.shape[1] for fv in images)
     *members, fv = images
-    members.append(np.hstack([fv, np.zeros((fv.shape[0], lim - fv.shape[1]), dtype=np.int64), block]))
+    pad = np.zeros((fv.shape[0], lim - fv.shape[1]), dtype=np.int64)
+    members.append(np.concatenate((fv, pad, block), axis=1))
     stack = Stack(members, p, limit=lim, forward=True)
     helds, bases = [], []
     for fv, piv in zip(images, stack.eliminate()):
@@ -175,7 +179,7 @@ def _image_step(images: list[np.ndarray], block: np.ndarray, p: int) -> tuple[li
         free = np.ones(fv.shape[0], dtype=bool)
         free[pivrows] = False
         helds.append(held)
-        bases.append(np.hstack([fv[:, held], np.eye(fv.shape[0], dtype=np.int64)[:, free]]))
+        bases.append(np.concatenate((fv[:, held], np.eye(fv.shape[0], dtype=np.int64)[:, free]), axis=1))
     return helds, bases, stack.reduced()[-1][np.concatenate((pivrows, np.flatnonzero(free))), lim:]
 
 
@@ -190,7 +194,7 @@ def _sink_members(module: PersistenceModule, j: int, tm: FFMatrix, v1: FFMatrix)
     members, h = [rev.astype(np.uint16)], v1
     for d1 in range(j + 1, module.grid.n + 1):
         h = mat_mul(module.hmaps[(1, d1 - 1)], h)
-        members.append(np.vstack([h.data, rev]).astype(np.uint16))
+        members.append(np.concatenate((h.data, rev), dtype=np.uint16, casting="unsafe"))
     return members
 
 
@@ -229,47 +233,56 @@ class _GroupedRanks:
             if g.m > 1:
                 members += _sink_members(module, j, FFMatrix._wrap(tm, p), bases[1])
         if g.m > 1:
-            pivots = iter(stack_pivots(members, p))
-            for j in range(1, g.n + 1):
-                self._sink_ranks(module, j, pivots)
+            self._sink_ranks(module, stack_pivots(members, p))
 
-    def _sink_ranks(self, module: PersistenceModule, j: int, pivots: Iterator[np.ndarray]):
-        """prof of the sink t = (2, j), from the rank profiles of its
-        members, whose pivot rows are the next ones pivots yields.
+    def _sink_ranks(self, module: PersistenceModule, pivots: list[np.ndarray]):
+        """prof of every sink t = (2, j), from the rank profiles of the
+        profile members, whose pivot rows pivots holds in column order.
 
-        The k members rev(U) and [H ; rev(U)] all have the dim M_(1, j)
-        columns of V1, so their pivot rows stack into one (k, cols) array.
-        Each member's row counts r, h for its H and h + dims[t] - c for
-        each c, form a (k, j + 2) array, and one cumsum over the
-        comparison of the two gives every rank Y[:r, :m]: the columns
-        before m whose pivot row is above r.
+        The n - j + 1 members rev(U) and [H ; rev(U)] of the sink (2, j)
+        have the dim M_(1, j) columns of V1.  The pivot rows of all
+        members, padded to the widest by a row number above every row,
+        stack into one (members, cols) array.  Each member's row counts
+        r, h for its H and h + dims[t] - c for each c, padded to n + 2,
+        form a (members, n + 2) array, and one cumsum over the comparison
+        of the two gives every rank Y[:r, :m]: the columns before m whose
+        pivot row is above r.
         """
         g, dims = module.grid, module.dims
-        s, t = (1, j), (2, j)
-        heights = np.array([0] + [dims[(1, d1)] for d1 in range(j + 1, g.n + 1)])[:, None]
-        piv = np.stack(list(islice(pivots, len(heights))))[:, None, :]
-        c = np.array(self.rect[t])
-        c1 = self.rect[s][1:]
-        # counts[k, x, m] = rank Y_k[:rows[k, x], :m], rows[k] = [h, h + dims[t] - c]
-        rows = np.hstack([heights, heights + dims[t] - c])[:, :, None]
-        counts = np.zeros((len(heights), j + 2, piv.shape[2] + 1), dtype=np.int32)
-        np.cumsum((piv >= 0) & (piv < rows), axis=2, dtype=np.int32, out=counts[:, :, 1:])
-        # c + rank [H ; U[c:]][:, :c1] - rank H[:, :c1], H empty for B;
-        # row b1 - 1 of each member holds the values of s1 = (1, b1)
-        self.prof[t] = (c[:, None] + counts[:, 1:, c1] - counts[:, :1, c1]).transpose(0, 2, 1).tolist()
+        none = np.iinfo(np.int64).max
+        sizes = np.array([piv.size for piv in pivots])
+        piv = np.full((len(pivots), sizes.max(initial=0)), none)
+        flat = np.concatenate(pivots)
+        piv[np.arange(piv.shape[1]) < sizes[:, None]] = np.where(flat >= 0, flat, none)
+        rows = np.zeros((len(pivots), g.n + 2), dtype=np.int64)
+        sinks, lo = [], 0
+        for j in range(1, g.n + 1):
+            t, k = (2, j), slice(lo, lo + g.n - j + 1)
+            h = np.array([0] + [dims[(1, d1)] for d1 in range(j + 1, g.n + 1)])[:, None]
+            c = np.array(self.rect[t])
+            rows[k, :j + 2] = np.concatenate((h, h + dims[t] - c), axis=1)
+            sinks.append((t, k, c, self.rect[(1, j)][1:]))
+            lo = k.stop
+        # counts[k, x, m] = rank Y_k[:rows[k, x], :m]
+        counts = np.zeros((*rows.shape, piv.shape[1] + 1), dtype=np.int32)
+        np.cumsum(piv[:, None, :] < rows[:, :, None], axis=2, dtype=np.int32, out=counts[:, :, 1:])
+        for t, k, c, c1 in sinks:
+            # c + rank [H ; U[c:]][:, :c1] - rank H[:, :c1], H empty for B;
+            # row b1 - 1 of each member holds the values of s1 = (1, b1)
+            ranks = c[:, None] + counts[k, 1:c.size + 1, c1] - counts[k, :1, c1]
+            self.prof[t] = ranks.transpose(0, 2, 1).tolist()
 
     def value(self, I: Interval) -> int:
         """rect[t2][b1] for I on one row, else rank [A | W] - rank W +
         rank B - rank [A | B].  Without a second sink W = 0, so rank [A | W]
         is rect[t2][b2]; without a second source b2 = b1."""
-        shape = classify_ss(I)
-        (i, b1), t2 = shape.s1, shape.t2
+        _, (i, b1), t2, s2, t1 = classify_ss(I)
         if i == t2[0]:
             return self.rect[t2][b1]
         prof = self.prof[t2]
         p = prof[0][b1 - 1]
-        w = prof[shape.t1[1] - t2[1]][b1 - 1] if shape.t1 else self.rect[t2]
-        b2 = shape.s2[1] if shape.s2 else b1
+        w = prof[t1[1] - t2[1]][b1 - 1] if t1 else self.rect[t2]
+        b2 = s2[1] if s2 else b1
         return w[b2] - w[0] + p[0] - p[b2]
 
 
@@ -283,5 +296,5 @@ def compressed_multiplicity_function(module: PersistenceModule) -> dict[Interval
     if g.m > MAX_HEIGHT:
         raise ValueError(f"grid height {g.m} > {MAX_HEIGHT} is not supported")
     intervals = enumerate_intervals(g.m, g.n)
-    ranks = _GroupedRanks(module)
-    return {I: ranks.value(I) for I in intervals}
+    value = _GroupedRanks(module).value
+    return {I: value(I) for I in intervals}

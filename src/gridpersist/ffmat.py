@@ -34,10 +34,18 @@ loop takes an eighth of theirs for the 78 profile members of up to
 
 stack_pivots is the one batching policy and the one road to a rank, for
 rank_invariant, mat_rank and compression: matrices with one column count
-share a stack of up to _BATCH members, zero-padded only in rows, and on
-GF(2) packed in one call.  Padding in columns too measured slower where
-most matrices have widths of their own.  pullback_basis and mat_inv
-read a reduced form, so they eliminate a stack of one, through _reduced.
+share stacks, zero-padded only in rows, and on GF(2) packed in one call.
+A stack is sized in bytes, not members: it holds as many as fit in
+_STACK_BYTES at the tallest member's rows, a row taking 8 bytes per 64
+columns on GF(2) and 4 per column otherwise.  That is 64 GF(p) members
+of 100 x 100, but a GF(2) row of 100 columns takes 16 bytes, not 400,
+so a GF(2) group of the pipeline fits one stack: the 513 path maps of a
+2 x 18 grid of dimension 10 (80 bytes each), or the 78 profile members
+of a 2 x 12 grid of dimension 100 (3200 bytes each).  Each step of a
+core then pays its numpy calls once for the group, not once per 64
+members.  Padding in columns too measured slower where most matrices
+have widths of their own.  pullback_basis and mat_inv read a reduced
+form, so they eliminate a stack of one, through _reduced.
 
 Reduction updates every row with a nonzero in the column, forward
 elimination only the free rows.  A pivot row is never chosen again, and
@@ -187,18 +195,26 @@ def mat_mul(a: FFMatrix, b: FFMatrix) -> FFMatrix:
     The composition through a zero-dimensional space is the zero map of
     the appropriate shape, which numpy's empty matmul already yields.
     """
-    p = _check_same_p(a, b)
-    if a.cols != b.rows:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    inner = a.cols
-    # Partial sums of nonnegative int products stay below 2**53, so the
-    # BLAS float path, on C-contiguous operands, is exact and fast.
-    if inner and (p - 1) * (p - 1) * inner < 2**53:
-        x, y = (np.ascontiguousarray(m.data, dtype=np.float64) for m in (a, b))
-        prod = np.rint(x @ y).astype(np.int64)
+    p, x, y = a.p, a.data, b.data
+    if b.p != p:
+        raise ShapeError(f"modulus mismatch: {b.p} != {p}")
+    rows, inner = x.shape
+    if inner != y.shape[0]:
+        raise ShapeError(f"cannot multiply {x.shape} by {y.shape}")
+    # Every product and every partial sum, in any order BLAS adds them, is
+    # a nonnegative integer below 2**53, so each float operation is exact
+    # and the float product already holds integers: no rint is needed.
+    # Up to _INT_MUL multiply-adds numpy's int64 loop, which converts
+    # nothing, is faster.
+    if rows * inner * y.shape[1] > _INT_MUL and (p - 1) * (p - 1) * inner < 2**53:
+        prod = (x.astype(np.float64, order="C") @ y.astype(np.float64, order="C")).astype(np.int64)
     else:
-        prod = a.data @ b.data
-    return FFMatrix._wrap(_reduce(prod, p), p)
+        prod = x @ y
+    if p == 2:
+        prod &= 1
+    else:
+        _reduce(prod, p)
+    return FFMatrix._wrap(prod, p)
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
@@ -208,8 +224,13 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-# members per stack in stack_pivots; bounds the scratch of one elimination
-_BATCH = 64
+# multiply-adds, rows x inner x cols, up to which mat_mul takes the int64
+# loop: 10 x 10 x 10 takes half the float path's time, 20 x 20 x 20 1.7x it
+_INT_MUL = 2048
+
+# bytes of one stack in stack_pivots, members x rows x row bytes; bounds
+# the scratch of one elimination (64 GF(p) members of 100 x 100)
+_STACK_BYTES = 64 * 100 * 100 * 4
 
 # rows in all, count x rows, up to which a GF(2) stack is eliminated on
 # Python int rows; larger stacks take the word-parallel numpy loop
@@ -236,14 +257,18 @@ class Stack:
 
     def __init__(self, members: Sequence[np.ndarray], p: int,
                  limit: int | None = None, forward: bool = False):
-        rows = max((a.shape[0] for a in members), default=0)
-        self.p, self.cols = p, max((a.shape[1] for a in members), default=0)
+        shapes = {a.shape for a in members}
+        rows = max((r for r, _ in shapes), default=0)
+        self.p, self.cols = p, max((c for _, c in shapes), default=0)
         self.limit = self.cols if limit is None else limit
         self.forward = forward
         width = 64 * ((self.cols + 63) // 64) if p == 2 else self.cols
         block = np.zeros((len(members), rows, width), dtype=np.uint8 if p == 2 else np.uint32)
-        for k, a in enumerate(members):
-            block[k, :a.shape[0], :a.shape[1]] = a
+        if len(shapes) == 1:  # one copy of them all, not one per member
+            block[:, :, :self.cols] = members
+        else:
+            for k, a in enumerate(members):
+                block[k, :a.shape[0], :a.shape[1]] = a
         if p == 2:
             block = np.packbits(block, axis=2, bitorder="little").view(np.uint64)
             block = np.ascontiguousarray(block.transpose(2, 0, 1))
@@ -419,17 +444,20 @@ def _echelon_gfp(a: np.ndarray, p: int, limit: int, forward: bool) -> np.ndarray
 def stack_pivots(members: Sequence[np.ndarray], p: int) -> list[np.ndarray]:
     """Pivot rows of each matrix, with entries in [0, p), in input order.
 
-    Matrices with one column count are eliminated _BATCH at a time,
-    zero-padded to the tallest of them; each result has one entry per
-    column of its matrix.
+    Matrices with one column count share stacks, zero-padded to the
+    tallest of them, each stack holding as many as fit in _STACK_BYTES;
+    each result has one entry per column of its matrix.
     """
     groups: dict[int, list[int]] = {}
     for k, y in enumerate(members):
         groups.setdefault(y.shape[1], []).append(k)
     pivots: list[np.ndarray] = [None] * len(members)
     for cols, ks in groups.items():
-        for lo in range(0, len(ks), _BATCH):
-            batch = ks[lo:lo + _BATCH]
+        rows = max(members[k].shape[0] for k in ks)
+        width = 8 * ((cols + 63) // 64) if p == 2 else 4 * cols
+        size = max(1, _STACK_BYTES // max(1, rows * width))
+        for lo in range(0, len(ks), size):
+            batch = ks[lo:lo + size]
             stack = Stack([members[k] for k in batch], p, forward=True)
             for k, piv in zip(batch, stack.eliminate()):
                 pivots[k] = piv

@@ -151,7 +151,8 @@ def path_map_table(module: PersistenceModule) -> dict[tuple[Vertex, Vertex], FFM
     table: dict[tuple[Vertex, Vertex], FFMatrix] = {}
     for src, (i2, j2) in module.grid.comparable_pairs():
         if src == (i2, j2):
-            table[(src, src)] = FFMatrix.identity(module.dims[src], module.field.p)
+            # the module's field is checked, so the eye needs no reduction
+            table[(src, src)] = FFMatrix._wrap(np.eye(module.dims[src], dtype=np.int64), module.field.p)
             continue
         # the last arrow of the path, keyed by its foot
         arrows, foot = (module.hmaps, (i2, j2 - 1)) if j2 > src[1] else (module.vmaps, (i2 - 1, j2))

@@ -370,21 +370,24 @@ def block_multiplicity(table, I: Interval) -> int:
 
 
 class LoopedSinkRanks(_GroupedRanks):
-    """compression._GroupedRanks with each sink's prof read one member at
+    """compression._GroupedRanks with prof read one sink and one member at
     a time: every member's rank profile from its own pivot rows, the
-    per-member loop that the package's single cumsum per sink replaced."""
+    per-member loop that the package's single cumsum over all sinks
+    replaced."""
 
-    def _sink_ranks(self, module: PersistenceModule, j: int, pivots: Iterator[np.ndarray]):
+    def _sink_ranks(self, module: PersistenceModule, pivots: list[np.ndarray]):
         g, dims = module.grid, module.dims
-        s, t = (1, j), (2, j)
-        heights = [0] + [dims[(1, d1)] for d1 in range(j + 1, g.n + 1)]
-        c = np.array(self.rect[t])
-        c1 = self.rect[s][1:]
-        self.prof[t] = []
-        # zip draws from heights first, so it takes only this sink's pivots
-        for h, piv in zip(heights, pivots):
-            counts = member_profile(piv, np.concatenate(([h], h + dims[t] - c)))
-            self.prof[t].append((c[:, None] + counts[1:, c1] - counts[0, c1]).T.tolist())
+        members = iter(pivots)
+        for j in range(1, g.n + 1):
+            s, t = (1, j), (2, j)
+            heights = [0] + [dims[(1, d1)] for d1 in range(j + 1, g.n + 1)]
+            c = np.array(self.rect[t])
+            c1 = self.rect[s][1:]
+            self.prof[t] = []
+            # zip draws from heights first, so it takes only this sink's pivots
+            for h, piv in zip(heights, members):
+                counts = member_profile(piv, np.concatenate(([h], h + dims[t] - c)))
+                self.prof[t].append((c[:, None] + counts[1:, c1] - counts[0, c1]).T.tolist())
 
 
 def member_profile(piv: np.ndarray, rows: np.ndarray) -> np.ndarray:

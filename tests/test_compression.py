@@ -185,8 +185,17 @@ class TestAgainstBlockForms:
         rng = make_rng(600)
         modules = [random_module(5, 3, FieldSpec(p), rng) for p in (2, 3, 65521)]
         whole = [compressed_multiplicity_function(m) for m in modules]
-        monkeypatch.setattr(ffmat, "_BATCH", batch)
-        assert [compressed_multiplicity_function(m) for m in modules] == whole
+        calls = []
+        eliminate = Stack.eliminate
+        monkeypatch.setattr(Stack, "eliminate", lambda stack: calls.append(stack) or eliminate(stack))
+        for m, f in zip(modules, whole):
+            # room for batch of the tallest profile members, [H ; rev(U)]: 6 rows of 3 columns
+            row_bytes = 8 if m.field.p == 2 else 4 * 3
+            monkeypatch.setattr(ffmat, "_STACK_BYTES", batch * 6 * row_bytes)
+            calls.clear()
+            assert compressed_multiplicity_function(m) == f
+            # 5 image stacks, then the 15 profile members batch at a time
+            assert len(calls) == 5 + -(-15 // batch)
 
 
 def reduce_with_identity(images, p):
@@ -320,9 +329,10 @@ class TestArrowsOnly:
 class TestEliminationCount:
     """One image elimination per grid column, then the profile members of
     every row-2 sink in shared stacks: the n - j + 1 members of the sink
-    (2, j) have dim M_(1, j) columns, so equal dimensions share them all."""
+    (2, j) have dim M_(1, j) columns, so equal dimensions share them all,
+    and on GF(2) they fit in one stack."""
 
-    @pytest.mark.parametrize("n, d, want", [(12, 100, 12 + 2), (18, 10, 18 + 3)])
+    @pytest.mark.parametrize("n, d, want", [(12, 100, 12 + 1), (18, 10, 18 + 1)])
     def test_stacks_per_module(self, n, d, want, monkeypatch):
         module = random_module(n, d, GF2, make_rng(n))
         calls = []

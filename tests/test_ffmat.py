@@ -370,9 +370,30 @@ class TestStack:
         rng = np.random.default_rng(p + 1)
         mats = [rand_mat(rng, int(rng.integers(0, 6)), 9, p).data for _ in range(11)]
         whole = [piv.tolist() for piv in stack_pivots(mats, p)]
-        monkeypatch.setattr(ffmat, "_BATCH", 4)
+        # room for four of the tallest members
+        monkeypatch.setattr(ffmat, "_STACK_BYTES", 4 * max(a.shape[0] for a in mats) * row_bytes(9, p))
+        calls = count_eliminations(monkeypatch)
         assert [piv.tolist() for piv in stack_pivots(mats, p)] == whole
+        assert calls == stack_sizes(mats, p) == [4, 4, 3]
         assert [sum(r >= 0 for r in piv) for piv in whole] == [naive_rank(a.tolist(), p) for a in mats]
+
+
+def row_bytes(cols, p):
+    """Bytes of one stacked row: 64-bit words for p = 2, uint32 entries otherwise."""
+    return 8 * -(-cols // 64) if p == 2 else 4 * cols
+
+
+def stack_sizes(mats, p):
+    """The member count of each stack stack_pivots makes of mats, in order:
+    per column count, as many as fit in _STACK_BYTES at the tallest rows."""
+    groups = {}
+    for a in mats:
+        groups.setdefault(a.shape[1], []).append(a.shape[0])
+    sizes = []
+    for cols, rows in groups.items():
+        size = max(1, ffmat._STACK_BYTES // max(1, max(rows) * row_bytes(cols, p)))
+        sizes += [min(size, len(rows) - lo) for lo in range(0, len(rows), size)]
+    return sizes
 
 
 def count_eliminations(monkeypatch):
@@ -399,7 +420,8 @@ def record_loops(monkeypatch):
 
 class TestStackPivots:
     """stack_pivots shares a stack only among matrices with one column
-    count, _BATCH at a time, and returns the pivots in input order."""
+    count, as many as fit in _STACK_BYTES, and returns the pivots in
+    input order."""
 
     @pytest.mark.parametrize("p", [2, 3, 65521])
     @pytest.mark.parametrize("batch", [1, 3, 64])
@@ -410,15 +432,45 @@ class TestStackPivots:
         mats += [np.full((6, 9), p - 1), np.zeros((0, 0), dtype=np.int64)]
         mats = [mats[k] for k in rng.permutation(len(mats))]
         lone = [packed_pivots(a) if p == 2 else generic_reduced(a, p)[0].tolist() for a in mats]
-        monkeypatch.setattr(ffmat, "_BATCH", batch)
+        # room for batch of the largest members, 6 x 9; more of smaller ones
+        monkeypatch.setattr(ffmat, "_STACK_BYTES", batch * 6 * row_bytes(9, p))
         calls = count_eliminations(monkeypatch)
         pivots = stack_pivots(mats, p)
         assert [piv.tolist() for piv in pivots] == lone
-        groups = {}
-        for a in mats:
-            groups[a.shape[1]] = groups.get(a.shape[1], 0) + 1
-        assert len(calls) == sum(-(-size // batch) for size in groups.values())
-        assert max(calls) <= batch
+        assert calls == stack_sizes(mats, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_a_group_that_fills_the_budget_is_one_stack(self, p, extra, monkeypatch):
+        # 70 columns take two words on GF(2); the short member pads to 7 rows
+        rng = np.random.default_rng([p, extra])
+        mats = [rand_mat(rng, 7 if k else 3, 70, p).data for k in range(5 + extra)]
+        monkeypatch.setattr(ffmat, "_STACK_BYTES", 5 * 7 * row_bytes(70, p))
+        calls = count_eliminations(monkeypatch)
+        pivots = stack_pivots(mats, p)
+        assert calls == [5] + [1] * extra
+        assert [piv.tolist() for piv in pivots] == [stack_pivots([a], p)[0].tolist() for a in mats]
+
+    def test_wide_grid_path_maps_over_gf2_take_one_stack(self, monkeypatch):
+        # the 513 path maps of a 2 x 18 grid of dimension 10
+        rng = np.random.default_rng(513)
+        mats = [mat_mul(rand_mat(rng, 10, r, 2), rand_mat(rng, r, 10, 2)).data
+                for r in rng.integers(0, 11, size=513)]
+        lone = [stack_pivots([a], 2)[0].tolist() for a in mats]
+        calls = count_eliminations(monkeypatch)
+        assert [piv.tolist() for piv in stack_pivots(mats, 2)] == lone
+        assert calls == [513]
+
+    def test_65_members_of_100_by_100_over_gf65521_take_two_stacks(self, monkeypatch):
+        p = 65521
+        rng = np.random.default_rng(65)
+        mats = [mat_mul(rand_mat(rng, 100, r, p), rand_mat(rng, r, 100, p)).data
+                for r in rng.integers(90, 101, size=65)]
+        lone = [stack_pivots([a], p)[0].tolist() for a in mats]
+        calls = count_eliminations(monkeypatch)
+        assert [piv.tolist() for piv in stack_pivots(mats, p)] == lone
+        assert calls == [64, 1]
+        assert ffmat._STACK_BYTES == 64 * 100 * row_bytes(100, p)
 
     def test_no_members(self, monkeypatch):
         calls = count_eliminations(monkeypatch)
@@ -489,7 +541,7 @@ class TestMul:
         with pytest.raises(ShapeError):
             mat_mul(FFMatrix.zeros(2, 2, 2), FFMatrix.zeros(2, 2, 3))
 
-    @pytest.mark.parametrize("p", [2, 65521])
+    @pytest.mark.parametrize("p", [2, 3, 65521])
     def test_transposed_and_reversed_operands(self, p):
         # F-ordered and negative-stride data, as transposes and row reversal make
         rng = np.random.default_rng(p)
@@ -498,6 +550,27 @@ class TestMul:
         for x, y in ((FFMatrix(a.data.T, p), b), (FFMatrix(a.data[::-1].T, p), b),
                      (FFMatrix._wrap(a.data.T[:, ::-1], p), FFMatrix._wrap(b.data[::-1, ::-2], p))):
             assert mat_mul(x, y).tolist() == naive_mul(x.tolist(), y.tolist(), p)
+        # the same layouts with no rows, no inner dimension or no columns
+        for rows, inner, cols in ((0, 6, 5), (6, 0, 5), (6, 5, 0)):
+            x = FFMatrix._wrap(rng.integers(0, p, size=(inner, rows)).T, p)
+            y = FFMatrix._wrap(rng.integers(0, p, size=(inner, cols))[::-1], p)
+            got = mat_mul(x, y)
+            assert got.shape == (rows, cols)
+            assert got.tolist() == naive_mul(x.tolist(), y.tolist(), p, bcols=cols)
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    @pytest.mark.parametrize("bound", [0, 2**62])
+    def test_int_loop_and_float_path_match_schoolbook(self, p, bound, monkeypatch):
+        # every product on the float path (bound 0) or on the int64 loop
+        monkeypatch.setattr(ffmat, "_INT_MUL", bound)
+        rng = np.random.default_rng(p)
+        for rows, inner, cols in ((8, 16, 16), (8, 16, 17), (10, 10, 10), (1, 300, 1), (0, 4, 3), (3, 0, 4)):
+            a, b = rand_mat(rng, rows, inner, p), rand_mat(rng, inner, cols, p)
+            assert mat_mul(a, b).tolist() == naive_mul(a.tolist(), b.tolist(), p, bcols=cols)
+
+    def test_float_bound_lies_past_the_int_loop(self):
+        # so test_float_path_at_its_bound multiplies on the float path at side 0
+        assert (2**53 - 1) // (65521 - 1) ** 2 > ffmat._INT_MUL
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_float_path_at_its_bound(self, side):
